@@ -10,53 +10,51 @@ The loop the pieces make together::
 
 The one ordering rule that makes the loop deterministic: **rate changes
 land exactly at window boundaries**.  Before a packet (or chunk
-segment) that starts a new quality window is offered, the monitor's
-:meth:`~repro.obs.live.QualityMonitor.advance_to` tap closes every due
-window, the controller judges each closed window, and any applied
-change re-keys the selector — so the first packet of a window is
-already sampled at that window's rate, in both execution paths.
+segment) that starts a new quality window is offered, every due window
+closes — through the monitor's
+:meth:`~repro.obs.live.QualityMonitor.advance_to` tap per packet, or
+the chunk fold per segment — the controller judges each closed window,
+and any applied change re-keys the selector, so the first packet of a
+window is already sampled at that window's rate, in both execution
+paths.
 
-Re-keying preserves each selector's natural state across the change,
-with the same arithmetic on the streaming sampler and its fast-path
-kernel twin:
+Re-keying is each selector's own ``rekey`` method, which preserves its
+natural state across the change:
 
 * systematic — the countdown to the next keep is carried modulo the
   new k (phase continuity, as :class:`~repro.core.sampling.adaptive.
   AdaptiveSystematic` does between intervals);
 * stratified — the in-progress bucket is abandoned and a fresh
   k'-bucket starts at the boundary, drawing its keep offset with one
-  ``Generator.integers`` call from the selector's own generator (the
-  same single draw in both paths, so the RNG stream stays aligned);
+  ``Generator.integers`` call from the selector's own generator;
 * timer — the period is re-derived as ``unit_period_us * k'`` while
   the pending scheduled firing stands, so the firing grid bends
   without a discontinuity.
 
-Because the chunked path splits chunks at window boundaries and the
-kernels' chunk algebra is exact within a window, the decision log and
-the keep/skip stream are bit-identical between ``fastpath`` on and off,
-under any chunking — pinned by ``tests/adaptive``.
+Per packet and per chunk drive the same selector object: ``offer`` per
+packet, or ``keep_mask`` per window segment of a chunk through
+:func:`repro.fastpath.monitor.observe_chunk`, which closes due windows
+(and so re-keys) before it selects each segment.  Because the chunk
+algebra is exact within a window, the decision log and the keep/skip
+stream are bit-identical between the two, under any chunking — pinned
+by ``tests/adaptive``.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.adaptive.controller import AdaptiveController, Decision
+from repro.core.metrics.phi import phi_coefficient
 from repro.core.sampling.streaming import (
-    StreamingSampler,
+    ChunkSelector,
     StreamingStratified,
     StreamingSystematic,
     StreamingTimerSystematic,
 )
-from repro.core.metrics.phi import phi_coefficient
 from repro.fastpath.monitor import observe_chunk
-from repro.fastpath.selectors import (
-    StratifiedKernel,
-    SystematicKernel,
-    TimerKernel,
-    chunk_kernel_for,
-)
+from repro.fastpath.pipeline import DEFAULT_CHUNK_PACKETS, iter_trace_chunks
 from repro.obs.live.monitor import QualityMonitor, WindowStats
 from repro.trace.trace import Trace
 
@@ -65,13 +63,7 @@ __all__ = [
     "AdaptiveRunResult",
     "T3BudgetDriver",
     "make_selector",
-    "rekey",
     "run_adaptive",
-]
-
-#: Either representation of a streaming selector.
-AnySelector = Union[
-    StreamingSampler, SystematicKernel, StratifiedKernel, TimerKernel
 ]
 
 
@@ -81,14 +73,14 @@ def make_selector(
     seed: int = 0,
     phase: int = 0,
     unit_period_us: float = 0.0,
-) -> StreamingSampler:
+) -> ChunkSelector:
     """A streaming selector for ``method`` at ``granularity``.
 
     ``unit_period_us`` is the timer period per unit granularity (the
     mean interarrival, typically); required for ``timer-systematic``.
     """
     if method == "systematic":
-        return StreamingSystematic(granularity, phase=min(phase, granularity - 1))
+        return StreamingSystematic(granularity, phase=phase)
     if method == "stratified":
         return StreamingStratified(
             granularity, rng=np.random.default_rng(seed)
@@ -102,53 +94,13 @@ def make_selector(
     raise ValueError("unknown streaming method %r" % method)
 
 
-def rekey(
-    selector: AnySelector, granularity: int, unit_period_us: float = 0.0
-) -> None:
-    """Re-key a live selector to ``granularity`` at a window boundary.
-
-    Works identically on a streaming sampler and on its fast-path
-    kernel twin — same state transformation, same (single) RNG draw —
-    which is what keeps the two execution paths differentially
-    identical across rate changes.
-    """
-    if granularity < 1:
-        raise ValueError("granularity must be >= 1, got %d" % granularity)
-    if isinstance(selector, StreamingSystematic):
-        selector._countdown %= granularity
-        selector.granularity = granularity
-    elif isinstance(selector, SystematicKernel):
-        selector.countdown %= granularity
-        selector.granularity = granularity
-    elif isinstance(selector, StreamingStratified):
-        selector.granularity = granularity
-        selector._position = 0
-        selector._keep_offset = int(selector._rng.integers(0, granularity))
-    elif isinstance(selector, StratifiedKernel):
-        selector.granularity = granularity
-        selector.position = 0
-        selector.keep_offset = int(selector.rng.integers(0, granularity))
-    elif isinstance(selector, StreamingTimerSystematic):
-        if unit_period_us <= 0:
-            raise ValueError("timer re-key needs a positive unit period")
-        selector.period_us = unit_period_us * granularity
-    elif isinstance(selector, TimerKernel):
-        if unit_period_us <= 0:
-            raise ValueError("timer re-key needs a positive unit period")
-        selector.period_us = unit_period_us * granularity
-    else:
-        raise TypeError(
-            "cannot re-key selector of type %s" % type(selector).__name__
-        )
-
-
 class AdaptivePipeline:
     """One monitored, controlled sampling run over a packet stream.
 
-    Feed it per packet (:meth:`offer`) *or* per chunk
-    (:meth:`process_chunk`); never mix the two in one run lightly —
-    both produce bit-identical decisions and keep/skip streams, but
-    the point of having both is the differential battery.
+    Feed it per packet (:meth:`offer`), per chunk
+    (:meth:`process_chunk`), or a mix: both drive the one selector and
+    produce bit-identical decisions and keep/skip streams, which the
+    differential battery pins.
 
     Parameters
     ----------
@@ -160,9 +112,9 @@ class AdaptivePipeline:
     monitor:
         The live quality monitor producing the feedback windows.
     fastpath:
-        When true, selection runs on the chunk kernels (chunks are
-        split at window boundaries internally); when false, the
-        per-packet streaming reference.
+        Accepted for compatibility and ignored: the selector serves
+        both :meth:`offer` and :meth:`process_chunk`, so nothing
+        depends on it.
     phase, unit_period_us:
         Selector extras (systematic phase offset; timer period per
         unit granularity — defaulted by :func:`run_adaptive` to the
@@ -194,25 +146,13 @@ class AdaptivePipeline:
         self.obs = obs
         self.on_window = on_window
         self.on_decision = on_decision
-        streaming = make_selector(
+        self.selector = make_selector(
             method,
             controller.granularity,
             seed=controller.config.seed,
             phase=phase,
             unit_period_us=unit_period_us,
         )
-        self.selector: AnySelector = streaming
-        if fastpath:
-            kernel = chunk_kernel_for(streaming)
-            if kernel is None:
-                raise ValueError(
-                    "method %r has no chunk kernel" % method
-                )
-            # The kernel adopts the streaming sampler's state (and,
-            # for stratified, its generator), so both paths start from
-            # the identical construction-time draw.
-            self.selector = kernel  # type: ignore[assignment]
-        self.fastpath = fastpath
         self.offered = 0
         self.kept = 0
 
@@ -234,8 +174,7 @@ class AdaptivePipeline:
                 if decision.granularity_after < decision.granularity_before
                 else "adaptive_steps_coarser"
             ).inc()
-            rekey(
-                self.selector,
+            self.selector.rekey(
                 decision.granularity_after,
                 unit_period_us=self.unit_period_us,
             )
@@ -253,7 +192,6 @@ class AdaptivePipeline:
         """Offer one packet under the rate its window prescribes."""
         for stats in self.monitor.advance_to(timestamp_us):
             self._window_closed(stats)
-        assert isinstance(self.selector, StreamingSampler)
         kept = self.selector.offer(int(timestamp_us))
         self.monitor.observe(int(timestamp_us), float(size), kept)
         self.offered += 1
@@ -264,26 +202,18 @@ class AdaptivePipeline:
     # chunked fast path
 
     def process_chunk(self, chunk: Trace) -> int:
-        """Fold one chunk, splitting it at quality-window boundaries."""
+        """Fold one chunk, re-keying at its quality-window boundaries."""
         n = len(chunk)
         if n == 0:
             return 0
-        arrivals = np.asarray(chunk.timestamps_us, dtype=np.int64)
-        sizes = chunk.sizes.astype(np.float64, copy=False)
-        anchor = self.monitor._window_start
-        if anchor is None:
-            anchor = int(arrivals[0])
-        window_index = (arrivals - anchor) // self.monitor.window_us
-        boundaries = np.flatnonzero(np.diff(window_index)) + 1
-        segment_starts = np.concatenate(([0], boundaries, [n]))
-        for s in range(segment_starts.size - 1):
-            lo = int(segment_starts[s])
-            hi = int(segment_starts[s + 1])
-            for stats in self.monitor.advance_to(int(arrivals[lo])):
-                self._window_closed(stats)
-            mask = self.selector.keep_mask(arrivals[lo:hi])  # type: ignore[union-attr]
-            observe_chunk(self.monitor, arrivals[lo:hi], sizes[lo:hi], mask)
-            self.kept += int(np.count_nonzero(mask))
+        mask = observe_chunk(
+            self.monitor,
+            chunk.timestamps_us,
+            chunk.sizes.astype(np.float64, copy=False),
+            self.selector.keep_mask,
+            on_close=self._window_closed,
+        )
+        self.kept += int(np.count_nonzero(mask))
         self.offered += n
         return n
 
@@ -364,7 +294,7 @@ def run_adaptive(
     window_us: int = 30_000_000,
     min_scored: int = 10,
     fastpath: bool = True,
-    chunk_packets: int = 65_536,
+    chunk_packets: int = DEFAULT_CHUNK_PACKETS,
     phase: int = 0,
     unit_period_us: float = 0.0,
     monitor: Optional[QualityMonitor] = None,
@@ -407,8 +337,6 @@ def run_adaptive(
         on_decision=on_decision,
     )
     if fastpath:
-        from repro.fastpath.pipeline import iter_trace_chunks
-
         for chunk in iter_trace_chunks(trace, chunk_packets):
             pipeline.process_chunk(chunk)
     else:

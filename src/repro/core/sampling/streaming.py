@@ -15,10 +15,24 @@ with O(1) state.  This module provides streaming counterparts:
   streaming analogue of simple random sampling (exact n-of-N without
   knowing N in advance).
 
-Each streaming sampler is tested for *exact* equivalence with its
-batch counterpart given the same randomness (reservoir sampling, which
-has no batch analogue with matching draws, is tested for uniformity
-instead).
+The first three are also their own chunk kernels
+(:class:`ChunkSelector`): ``keep_mask`` decides a whole chunk of
+arrivals in O(chunk) numpy operations on the very state ``offer``
+advances, and ``rekey`` changes the granularity in place at a quality-
+window boundary.  ``offer`` is the per-packet reference; offering the
+same arrivals chunk by chunk (any chunking, including size-1 chunks)
+gives bit-identical decisions and leaves the same state, RNG stream
+included (pinned by ``tests/fastpath/test_parity.py``).
+
+The systematic and timer samplers are tested for exact equivalence
+with their batch counterparts.  The stratified sampler is not
+equivalent to :class:`~repro.core.sampling.StratifiedRandomSampler`:
+the batch sampler draws ``random() * bucket_size`` per bucket and
+always keeps one packet of a short final bucket, while the streaming
+sampler draws ``integers(0, k)`` at bucket start and keeps nothing of
+a bucket the stream cuts short before the drawn offset.  The
+reservoir, which has no batch analogue with matching draws, is tested
+for uniformity instead.
 """
 
 from typing import Iterable, List, Optional
@@ -45,67 +59,145 @@ class StreamingSampler:
         return np.asarray(selected, dtype=np.int64)
 
 
-class StreamingSystematic(StreamingSampler):
+class ChunkSelector(StreamingSampler):
+    """A streaming sampler that also decides whole chunks at once."""
+
+    def keep_mask(self, timestamps_us: "np.ndarray") -> "np.ndarray":
+        """Boolean keep/skip vector for a chunk of arrival times.
+
+        Calling this repeatedly over consecutive chunks reproduces the
+        per-packet ``offer`` stream bit for bit, for any chunking.
+        """
+        raise NotImplementedError
+
+    def rekey(self, granularity: int, unit_period_us: float = 0.0) -> None:
+        """Switch to 1-in-``granularity`` at a window boundary.
+
+        ``unit_period_us`` is the timer period per unit granularity;
+        only the timer sampler reads it.
+        """
+        raise NotImplementedError
+
+
+def _check_granularity(granularity: int) -> None:
+    if granularity < 1:
+        raise ValueError("granularity must be >= 1, got %d" % granularity)
+
+
+def _as_timestamps(timestamps_us: "np.ndarray") -> "np.ndarray":
+    arr = np.asarray(timestamps_us, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError("timestamps must be one-dimensional")
+    return arr
+
+
+class StreamingSystematic(ChunkSelector):
     """Counter-based every-k-th selection with a phase offset.
 
     Equivalent to :class:`~repro.core.sampling.SystematicSampler`:
     selects packets at positions ``phase, phase + k, ...`` of the
     offered stream.  This is exactly the T3 firmware's mechanism.
+
+    State is the countdown to the next keep; a chunk of ``n`` packets
+    keeps local positions ``countdown, countdown + k, ...`` and
+    advances the countdown by ``n`` modulo ``k``.  Re-keying carries
+    the countdown modulo the new k (phase continuity).
     """
 
     def __init__(self, granularity: int, phase: int = 0) -> None:
-        if granularity < 1:
-            raise ValueError("granularity must be >= 1, got %d" % granularity)
+        _check_granularity(granularity)
         if not 0 <= phase < granularity:
             raise ValueError(
                 "phase must be in [0, %d), got %d" % (granularity, phase)
             )
         self.granularity = granularity
-        self._countdown = phase
+        self.countdown = phase
 
     def offer(self, timestamp_us: int) -> bool:
-        keep = self._countdown == 0
+        keep = self.countdown == 0
         if keep:
-            self._countdown = self.granularity - 1
+            self.countdown = self.granularity - 1
         else:
-            self._countdown -= 1
+            self.countdown -= 1
         return keep
 
+    def keep_mask(self, timestamps_us: "np.ndarray") -> "np.ndarray":
+        n = _as_timestamps(timestamps_us).size
+        mask = np.zeros(n, dtype=bool)
+        mask[self.countdown :: self.granularity] = True
+        self.countdown = (self.countdown - n) % self.granularity
+        return mask
 
-class StreamingStratified(StreamingSampler):
+    def rekey(self, granularity: int, unit_period_us: float = 0.0) -> None:
+        _check_granularity(granularity)
+        self.countdown %= granularity
+        self.granularity = granularity
+
+
+class StreamingStratified(ChunkSelector):
     """One uniformly random packet per k-packet bucket, online.
 
-    At each bucket start the kept offset is drawn; subsequent offers
-    compare a counter against it.  State is two integers, and the
-    selection distribution matches
-    :class:`~repro.core.sampling.StratifiedRandomSampler` exactly —
-    including the partial final bucket, where the monitor cannot know
-    the bucket will be short.  The strategy for that case mirrors the
-    batch sampler via rejection-free re-draw: if the bucket ends early
-    (stream stops), the pick may simply not have happened, which for a
-    monitor is the honest behaviour.
+    At each bucket start the kept offset is drawn with
+    ``rng.integers(0, k)``; subsequent offers compare a counter against
+    it.  State is the position within the current bucket and the drawn
+    offset.  If the stream stops before a bucket reaches its drawn
+    offset, that bucket keeps nothing — the monitor cannot know the
+    bucket will be short, and this is the honest behaviour.  (The batch
+    :class:`~repro.core.sampling.StratifiedRandomSampler` draws
+    differently and always keeps one packet of a short final bucket.)
+
+    A chunk completes ``(position + n) // k`` buckets; their offsets
+    are drawn with one vectorized ``integers`` call, which numpy
+    guarantees consumes the generator identically to the per-bucket
+    scalar draws of ``offer``, so every later decision stays
+    bit-identical under any chunking.  Re-keying abandons the bucket in
+    progress and starts a fresh k'-bucket with one draw.
     """
 
     def __init__(
         self, granularity: int, rng: Optional[np.random.Generator] = None
     ) -> None:
-        if granularity < 1:
-            raise ValueError("granularity must be >= 1, got %d" % granularity)
+        _check_granularity(granularity)
         self.granularity = granularity
-        self._rng = require_rng(rng)
-        self._position = 0
-        self._keep_offset = int(self._rng.integers(0, granularity))
+        self.rng = require_rng(rng)
+        self.position = 0
+        self.keep_offset = int(self.rng.integers(0, granularity))
 
     def offer(self, timestamp_us: int) -> bool:
-        keep = self._position == self._keep_offset
-        self._position += 1
-        if self._position == self.granularity:
-            self._position = 0
-            self._keep_offset = int(self._rng.integers(0, self.granularity))
+        keep = self.position == self.keep_offset
+        self.position += 1
+        if self.position == self.granularity:
+            self.position = 0
+            self.keep_offset = int(self.rng.integers(0, self.granularity))
         return keep
 
+    def keep_mask(self, timestamps_us: "np.ndarray") -> "np.ndarray":
+        n = _as_timestamps(timestamps_us).size
+        k = self.granularity
+        position = self.position
+        completions = (position + n) // k
+        # offsets[j] is bucket j's keep position, bucket 0 being the
+        # (possibly partial) bucket in progress at chunk start; each
+        # completed bucket's wrap draws the next bucket's offset.
+        offsets = np.empty(completions + 1, dtype=np.int64)
+        offsets[0] = self.keep_offset
+        if completions:
+            draws = self.rng.integers(0, k, size=completions)
+            offsets[1:] = draws
+            self.keep_offset = int(draws[-1])
+        local = position + np.arange(n, dtype=np.int64)
+        mask = np.asarray((local % k) == offsets[local // k])
+        self.position = (position + n) % k
+        return mask
 
-class StreamingTimerSystematic(StreamingSampler):
+    def rekey(self, granularity: int, unit_period_us: float = 0.0) -> None:
+        _check_granularity(granularity)
+        self.granularity = granularity
+        self.position = 0
+        self.keep_offset = int(self.rng.integers(0, granularity))
+
+
+class StreamingTimerSystematic(ChunkSelector):
     """Periodic timer with the paper's next-arrival rule, online.
 
     The timer arms at the first packet's arrival; whenever a packet
@@ -114,6 +206,14 @@ class StreamingTimerSystematic(StreamingSampler):
     stay on the strict grid — matching
     :class:`~repro.core.sampling.TimerSystematicSampler` exactly,
     including the deduplication of multiple expiries inside one gap.
+
+    State is the next scheduled firing (``None`` until the first
+    arrival arms the timer).  ``keep_mask`` binary-searches each
+    firing's next arrival and advances the deadline with ``offer``'s
+    own float arithmetic, one step per *kept* packet, so accumulated
+    rounding matches bit for bit.  Re-keying sets the period to
+    ``unit_period_us * k'`` while the pending firing stands, so the
+    firing grid bends without a discontinuity.
     """
 
     def __init__(self, period_us: float, phase_us: float = 0.0) -> None:
@@ -123,18 +223,50 @@ class StreamingTimerSystematic(StreamingSampler):
             raise ValueError("phase must be in [0, period)")
         self.period_us = float(period_us)
         self.phase_us = float(phase_us)
-        self._next_firing: Optional[float] = None
+        self.next_firing: Optional[float] = None
 
     def offer(self, timestamp_us: int) -> bool:
-        if self._next_firing is None:
-            self._next_firing = timestamp_us + self.phase_us
-        if timestamp_us < self._next_firing:
+        if self.next_firing is None:
+            self.next_firing = timestamp_us + self.phase_us
+        if timestamp_us < self.next_firing:
             return False
         # Skip every firing that has already passed: they all select
         # this packet (the next to arrive), collapsed into one keep.
-        periods_behind = (timestamp_us - self._next_firing) // self.period_us
-        self._next_firing += (periods_behind + 1) * self.period_us
+        periods_behind = (timestamp_us - self.next_firing) // self.period_us
+        self.next_firing += (periods_behind + 1) * self.period_us
         return True
+
+    def keep_mask(self, timestamps_us: "np.ndarray") -> "np.ndarray":
+        arrivals = _as_timestamps(timestamps_us)
+        n = arrivals.size
+        mask = np.zeros(n, dtype=bool)
+        if n == 0:
+            return mask
+        if self.next_firing is None:
+            self.next_firing = int(arrivals[0]) + self.phase_us
+        deadline = self.next_firing
+        period = self.period_us
+        start = 0
+        while True:
+            index = int(
+                np.searchsorted(arrivals[start:], deadline, side="left")
+            )
+            if index >= n - start:
+                break
+            index += start
+            mask[index] = True
+            kept_at = int(arrivals[index])
+            periods_behind = (kept_at - deadline) // period
+            deadline += (periods_behind + 1) * period
+            start = index + 1
+        self.next_firing = deadline
+        return mask
+
+    def rekey(self, granularity: int, unit_period_us: float = 0.0) -> None:
+        _check_granularity(granularity)
+        if unit_period_us <= 0:
+            raise ValueError("timer re-key needs a positive unit period")
+        self.period_us = unit_period_us * granularity
 
 
 class StreamingReservoir(StreamingSampler):

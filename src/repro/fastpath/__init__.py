@@ -11,16 +11,18 @@ This package re-expresses that pipeline over :class:`~repro.trace.Trace`
 *chunks* (the columnar numpy layout :func:`~repro.trace.pcap.iter_pcap`
 already yields) as O(chunk) numpy kernels:
 
-* :mod:`repro.fastpath.selectors` — keep-mask kernels for the three
-  streaming selectors, with counter/bucket/timer state carried across
-  chunk boundaries in small dataclasses;
+* the selectors need no module here: the streaming systematic,
+  stratified and timer samplers are their own chunk kernels
+  (``keep_mask``, with ``offer`` as the per-packet reference), and
+  :func:`chunk_kernel_for` hands the sampler itself back;
 * :mod:`repro.fastpath.flows` — a vectorized flow-accounting kernel
   (packed-integer 5-tuple grouping, segmented idle-expiry
   reconstruction) feeding :class:`~repro.flows.table.FlowTable`-
   compatible updates and the ``flow_cache_*`` live metrics;
-* :mod:`repro.fastpath.monitor` — bulk
-  :class:`~repro.stats.streams.RunningHistogram` updates for
-  :class:`~repro.obs.live.QualityMonitor` windows;
+* :mod:`repro.fastpath.monitor` — the online path's one chunk loop:
+  split a chunk at quality-window boundaries, close due windows, ask
+  the selector for each segment's keep mask, and bulk-update the
+  :class:`~repro.obs.live.QualityMonitor` histograms;
 * :mod:`repro.fastpath.pipeline` — chunk iteration and the end-to-end
   monitored run the CLI's ``--fastpath`` flag drives.
 
@@ -42,24 +44,14 @@ from repro.fastpath.flows import (
 from repro.fastpath.monitor import observe_chunk
 from repro.fastpath.pipeline import (
     DEFAULT_CHUNK_PACKETS,
+    chunk_kernel_for,
     iter_trace_chunks,
     run_monitor,
 )
-from repro.fastpath.selectors import (
-    ChunkSelector,
-    StratifiedKernel,
-    SystematicKernel,
-    TimerKernel,
-    chunk_kernel_for,
-)
 
 __all__ = [
-    "ChunkSelector",
     "DEFAULT_CHUNK_PACKETS",
     "FlowAccountantKernel",
-    "StratifiedKernel",
-    "SystematicKernel",
-    "TimerKernel",
     "account_chunk",
     "chunk_kernel_for",
     "encode_flow_keys",

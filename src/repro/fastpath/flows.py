@@ -46,6 +46,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.fastpath.pipeline import DEFAULT_CHUNK_PACKETS, iter_trace_chunks
 from repro.flows.sampled import StreamFlowAccountant, _Side
 from repro.flows.table import REASON_IDLE, FlowRecord, FlowTable, _FlowEntry
 from repro.trace.trace import Trace
@@ -344,29 +345,20 @@ def account_chunk(
 def fast_aggregate_trace(
     trace: Trace,
     table: Optional[FlowTable] = None,
-    chunk_packets: int = 65_536,
+    chunk_packets: int = DEFAULT_CHUNK_PACKETS,
 ) -> List[FlowRecord]:
     """Chunked, vectorized :func:`repro.flows.table.aggregate_trace`.
 
     Same records in the same order, for any ``chunk_packets`` — pinned
     by ``tests/fastpath/test_flows_parity.py``.
     """
-    if chunk_packets < 1:
-        raise ValueError(
-            "chunk_packets must be >= 1, got %d" % chunk_packets
-        )
     if table is None:
         table = FlowTable()
     records: List[FlowRecord] = []
-    keys = encode_flow_keys(trace)
-    for start in range(0, len(trace), chunk_packets):
-        stop = start + chunk_packets
+    for chunk in iter_trace_chunks(trace, chunk_packets):
         records.extend(
             account_chunk(
-                table,
-                trace.timestamps_us[start:stop],
-                trace.sizes[start:stop],
-                keys[start:stop],
+                table, chunk.timestamps_us, chunk.sizes, encode_flow_keys(chunk)
             )
         )
     records.extend(table.flush())

@@ -1,9 +1,16 @@
 """Bulk-feeding the live quality monitor, window by window.
 
+This is the online path's one chunk loop.  :func:`observe_chunk` splits
+a chunk at its quality-window boundaries, closes every window that ends
+before a segment, and only then asks the selector for that segment's
+keep mask — so a window callback that re-keys the selector
+(:class:`repro.adaptive.AdaptivePipeline`) has every packet of the new
+window sampled at the new rate, exactly as per-packet offering would.
+
 :class:`~repro.obs.live.QualityMonitor` folds four O(1) histogram
-updates per packet; over a chunk those updates are pure counting, so
-they vectorize exactly: group the chunk's packets by the quality window
-they land in, bulk-update each window's parent/sampled histograms with
+updates per packet; over a segment those updates are pure counting, so
+they vectorize exactly: bulk-update the window's parent/sampled
+histograms with
 :meth:`~repro.stats.streams.RunningHistogram.update_many` (same
 ``searchsorted`` binning as the scalar path, so counts are identical),
 and drive the monitor's own ``_close_window`` at every window
@@ -18,7 +25,7 @@ carried across chunk boundaries and the stream's first packet
 contributing no gap.
 """
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,31 +38,31 @@ def observe_chunk(
     monitor: QualityMonitor,
     timestamps_us: "np.ndarray",
     sizes: "np.ndarray",
-    kept: "np.ndarray",
+    keep_mask: Callable[["np.ndarray"], "np.ndarray"],
     on_close: Optional[Callable[[WindowStats], None]] = None,
-) -> Tuple[WindowStats, ...]:
-    """Fold one chunk of offered packets; return the windows it closes.
+) -> "np.ndarray":
+    """Fold one chunk of offered packets; return its keep mask.
 
-    Equivalent to ``monitor.observe(ts, float(size), kept)`` per packet
-    — same closed windows in the same order, same accumulator and
-    store state afterwards.  ``on_close`` fires immediately after each
-    window closes, before any later packet of the chunk is folded, so a
-    callback that snapshots the monitor's store sees exactly what the
-    per-packet loop would show it.  Timestamps must be non-decreasing
-    and not precede the monitor's last observed packet (the reference
-    raises packet by packet; this path validates the whole chunk up
-    front, so on error no partial chunk state is applied).
+    ``keep_mask`` is called once per window segment of the chunk, in
+    stream order, with that segment's arrival times; ``on_close`` fires
+    for each window as it closes, before the next segment is selected
+    or folded, so a callback sees the monitor's store exactly as the
+    per-packet loop would show it and may re-key the selector.  The
+    result equals ``monitor.observe(ts, float(size), kept)`` per packet
+    — same closed windows in the same order, same accumulator and store
+    state afterwards.  Timestamps must be non-decreasing and not
+    precede the monitor's last observed packet (the reference raises
+    packet by packet; this path validates the whole chunk up front, so
+    on that error no partial chunk state is applied).
     """
     arrivals = np.asarray(timestamps_us, dtype=np.int64)
     n = arrivals.size
+    kept_mask = np.zeros(n, dtype=bool)
     if n == 0:
-        return ()
+        return kept_mask
     size_values = np.asarray(sizes, dtype=np.float64)
-    kept_mask = np.asarray(kept, dtype=bool)
-    if size_values.shape != (n,) or kept_mask.shape != (n,):
-        raise ValueError(
-            "sizes and keep mask must match %d timestamps" % n
-        )
+    if size_values.shape != (n,):
+        raise ValueError("sizes must match %d timestamps" % n)
     prev = monitor._prev_timestamp
     first_ts = int(arrivals[0])
     if prev is not None and first_ts < prev:
@@ -81,11 +88,8 @@ def observe_chunk(
 
     if monitor._window_start is None:
         monitor._window_start = first_ts
-    window_us = monitor.window_us
-    start0 = monitor._window_start
-    window_index = (arrivals - start0) // window_us
+    window_index = (arrivals - monitor._window_start) // monitor.window_us
 
-    closed: List[WindowStats] = []
     size_target, gap_target = monitor._targets
     current = 0
     boundaries = np.flatnonzero(np.diff(window_index)) + 1
@@ -98,12 +102,17 @@ def observe_chunk(
         # between too, exactly as the reference's while-loop does.
         while current < target_window:
             stats = monitor._close_window()
-            closed.append(stats)
             if on_close is not None:
                 on_close(stats)
             current += 1
+        seg_kept = np.asarray(keep_mask(arrivals[lo:hi]), dtype=bool)
+        if seg_kept.shape != (hi - lo,):
+            raise ValueError(
+                "keep mask shape %r does not match a segment of %d packets"
+                % (seg_kept.shape, hi - lo)
+            )
+        kept_mask[lo:hi] = seg_kept
         seg_sizes = size_values[lo:hi]
-        seg_kept = kept_mask[lo:hi]
         size_target.parent.update_many(seg_sizes)
         size_target.sampled.update_many(seg_sizes[seg_kept])
         gap_lo = lo if (lo > 0 or has_first_gap) else 1
@@ -112,5 +121,5 @@ def observe_chunk(
         gap_target.sampled.update_many(gaps[gap_lo:hi][gap_kept])
         monitor._offered += hi - lo
         monitor._sampled += int(np.count_nonzero(seg_kept))
-    monitor._prev_timestamp = int(arrivals[-1])
-    return tuple(closed)
+        monitor._prev_timestamp = int(arrivals[hi - 1])
+    return kept_mask

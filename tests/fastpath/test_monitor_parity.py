@@ -5,7 +5,9 @@ windows (same :class:`WindowStats`, same order), leave the same
 accumulator state, and drive the metrics store to the same snapshots as
 per-packet :meth:`QualityMonitor.observe` calls, under any chunking —
 including chunks that close several windows at once and long silent
-gaps that close empty windows.
+gaps that close empty windows.  The fold asks a selector for each
+window segment's keep mask; here :func:`replay` hands out slices of a
+fixed decision vector, so the fold's return value is checked too.
 """
 
 import numpy as np
@@ -29,6 +31,32 @@ def stream(n: int, seed: int, gap_hi: int = 20_000):
     return timestamps, sizes, kept
 
 
+def replay(kept):
+    """A ``keep_mask`` callable returning ``kept`` segment by segment."""
+    consumed = 0
+
+    def keep_mask(segment):
+        nonlocal consumed
+        lo, consumed = consumed, consumed + len(segment)
+        return kept[lo:consumed]
+
+    return keep_mask
+
+
+def fold(monitor, timestamps, sizes, kept, on_close=None):
+    """One chunk through the fold; return the windows it closed."""
+    closed = []
+
+    def close(stats):
+        closed.append(stats)
+        if on_close is not None:
+            on_close(stats)
+
+    mask = observe_chunk(monitor, timestamps, sizes, replay(kept), on_close=close)
+    assert np.array_equal(mask, kept)
+    return closed
+
+
 def run_per_packet(monitor: QualityMonitor, timestamps, sizes, kept):
     closed = []
     for timestamp, size, keep in zip(timestamps, sizes, kept):
@@ -43,7 +71,7 @@ def run_chunked(monitor: QualityMonitor, timestamps, sizes, kept, chunk_sizes):
     for size in list(chunk_sizes) + [n]:
         stop = min(start + size, n)
         closed.extend(
-            observe_chunk(
+            fold(
                 monitor,
                 timestamps[start:stop],
                 sizes[start:stop],
@@ -97,7 +125,7 @@ class TestChunkingInvariance:
         reference = QualityMonitor(window_us=WINDOW_US)
         subject = QualityMonitor(window_us=WINDOW_US)
         expected = run_per_packet(reference, timestamps, sizes, kept)
-        actual = list(observe_chunk(subject, timestamps, sizes, kept))
+        actual = fold(subject, timestamps, sizes, kept)
         assert len(expected) == 10
         assert [w.as_dict() for w in actual] == [w.as_dict() for w in expected]
         assert_monitors_identical(reference, subject)
@@ -111,7 +139,7 @@ class TestChunkingInvariance:
         reference = QualityMonitor(window_us=WINDOW_US)
         subject = QualityMonitor(window_us=WINDOW_US)
         run_per_packet(reference, timestamps, sizes, kept)
-        observe_chunk(subject, timestamps, sizes, kept)
+        fold(subject, timestamps, sizes, kept)
         assert_monitors_identical(reference, subject)
 
     def test_gap_carried_across_chunks(self):
@@ -121,8 +149,8 @@ class TestChunkingInvariance:
         reference = QualityMonitor(window_us=WINDOW_US)
         subject = QualityMonitor(window_us=WINDOW_US)
         run_per_packet(reference, timestamps, sizes, kept)
-        observe_chunk(subject, timestamps[:2], sizes[:2], kept[:2])
-        observe_chunk(subject, timestamps[2:], sizes[2:], kept[2:])
+        fold(subject, timestamps[:2], sizes[:2], kept[:2])
+        fold(subject, timestamps[2:], sizes[2:], kept[2:])
         assert_monitors_identical(reference, subject)
 
 
@@ -137,7 +165,7 @@ class TestOnCloseCallback:
         kept = np.asarray([True, False, True, False, True])
         monitor = QualityMonitor(window_us=WINDOW_US)
         offered_at_close = []
-        observe_chunk(
+        fold(
             monitor,
             timestamps,
             sizes,
@@ -150,11 +178,39 @@ class TestOnCloseCallback:
         assert offered_at_close == [2.0, 3.0]
 
 
+    def test_selects_each_segment_after_prior_windows_close(self):
+        # A callback that re-keys the selector must act before the next
+        # window's packets are selected.
+        timestamps = np.asarray(
+            [0, 50_000, 150_000, 250_000, 260_000], dtype=np.int64
+        )
+        events = []
+
+        def keep_mask(segment):
+            events.append(("select", len(segment)))
+            return np.ones(len(segment), dtype=bool)
+
+        observe_chunk(
+            QualityMonitor(window_us=WINDOW_US),
+            timestamps,
+            np.full(5, 40.0),
+            keep_mask,
+            on_close=lambda stats: events.append(("close", stats.index)),
+        )
+        assert events == [
+            ("select", 2),
+            ("close", 0),
+            ("select", 1),
+            ("close", 1),
+            ("select", 2),
+        ]
+
+
 class TestValidation:
     def test_rejects_time_backwards_within_chunk(self):
         monitor = QualityMonitor(window_us=WINDOW_US)
         with pytest.raises(ValueError, match="time went backwards"):
-            observe_chunk(
+            fold(
                 monitor,
                 np.asarray([10, 5], dtype=np.int64),
                 np.asarray([40.0, 40.0]),
@@ -166,14 +222,14 @@ class TestValidation:
 
     def test_rejects_time_backwards_across_chunks(self):
         monitor = QualityMonitor(window_us=WINDOW_US)
-        observe_chunk(
+        fold(
             monitor,
             np.asarray([100], dtype=np.int64),
             np.asarray([40.0]),
             np.asarray([True]),
         )
         with pytest.raises(ValueError, match="time went backwards"):
-            observe_chunk(
+            fold(
                 monitor,
                 np.asarray([50], dtype=np.int64),
                 np.asarray([40.0]),
@@ -182,16 +238,14 @@ class TestValidation:
 
     def test_rejects_mismatched_shapes(self):
         monitor = QualityMonitor(window_us=WINDOW_US)
+        timestamps = np.asarray([1, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="sizes"):
+            fold(monitor, timestamps, np.asarray([40.0]), np.asarray([True, False]))
         with pytest.raises(ValueError, match="keep mask"):
-            observe_chunk(
-                monitor,
-                np.asarray([1, 2], dtype=np.int64),
-                np.asarray([40.0]),
-                np.asarray([True, False]),
-            )
+            fold(monitor, timestamps, np.asarray([40.0, 40.0]), np.asarray([True]))
 
     def test_empty_chunk_is_inert(self):
         monitor = QualityMonitor(window_us=WINDOW_US)
         empty = np.asarray([], dtype=np.int64)
-        assert observe_chunk(monitor, empty, empty.astype(float), empty.astype(bool)) == ()
+        assert fold(monitor, empty, empty.astype(float), empty.astype(bool)) == []
         assert monitor._prev_timestamp is None

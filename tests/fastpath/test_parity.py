@@ -1,13 +1,14 @@
-"""Differential parity battery: chunk kernels vs per-packet offer().
+"""Differential parity battery: ``keep_mask`` vs per-packet ``offer``.
 
 The fast path's contract is *bit identity*: for every selector, any
 chunking of the arrival stream (size-1 chunks, one whole-trace chunk,
-arbitrary ragged splits) must produce exactly the keep/skip stream the
-per-packet streaming sampler produces, and leave the kernel holding the
-same state.  Hypothesis drives the chunking-invariance properties;
-fixed cases pin the boundary placements that historically break
-chunked reimplementations (chunk edge on a bucket edge, timer firing
-exactly at a chunk's first arrival, empty chunks).
+arbitrary ragged splits) must make ``keep_mask`` on one sampler
+produce exactly the keep/skip stream ``offer`` produces on another
+instance of the same class, and leave both holding the same state.
+Hypothesis drives the chunking-invariance properties; fixed cases pin
+the boundary placements that historically break chunked
+reimplementations (chunk edge on a bucket edge, timer firing exactly
+at a chunk's first arrival, empty chunks).
 """
 
 import numpy as np
@@ -23,13 +24,7 @@ from repro.core.sampling.streaming import (
 )
 from repro.core.sampling.systematic import SystematicSampler
 from repro.core.sampling.timer import TimerSystematicSampler
-from repro.fastpath import (
-    StratifiedKernel,
-    SystematicKernel,
-    TimerKernel,
-    chunk_kernel_for,
-)
-from repro.trace.trace import Trace
+from repro.fastpath import chunk_kernel_for
 
 KINDS = ("systematic", "stratified", "timer")
 
@@ -76,17 +71,18 @@ def kernel_decisions(kernel, ts: np.ndarray, chunk_sizes) -> np.ndarray:
 
 
 def assert_same_state(kind: str, sampler, kernel) -> None:
-    """The kernel must hold the streaming sampler's exact state."""
+    """The chunk-fed sampler must hold the offered sampler's exact state."""
+    assert kernel is not sampler
     if kind == "systematic":
-        assert kernel.countdown == sampler._countdown
+        assert kernel.countdown == sampler.countdown
     elif kind == "stratified":
-        assert kernel.position == sampler._position
-        assert kernel.keep_offset == sampler._keep_offset
+        assert kernel.position == sampler.position
+        assert kernel.keep_offset == sampler.keep_offset
         # Both generators must have consumed the same bit stream.
         probe = int(kernel.rng.integers(0, 1 << 30))
-        assert probe == int(sampler._rng.integers(0, 1 << 30))
+        assert probe == int(sampler.rng.integers(0, 1 << 30))
     else:
-        assert kernel.next_firing == sampler._next_firing
+        assert kernel.next_firing == sampler.next_firing
 
 
 class TestChunkingInvariance:
@@ -163,7 +159,7 @@ class TestBoundaryPlacements:
 
     def test_systematic_chunk_edge_on_keep(self):
         # Chunks of exactly k packets: every chunk keeps its first slot.
-        kernel = SystematicKernel.start(granularity=8, phase=0)
+        kernel = StreamingSystematic(granularity=8, phase=0)
         ts = arrivals(64, seed=1)
         for chunk in split(ts, [8] * 8):
             mask = kernel.keep_mask(chunk)
@@ -172,7 +168,7 @@ class TestBoundaryPlacements:
     def test_stratified_chunk_edge_on_bucket_edge(self):
         k = 10
         reference = StreamingStratified(k, rng=np.random.default_rng(7))
-        kernel = StratifiedKernel.start(k, rng=np.random.default_rng(7))
+        kernel = StreamingStratified(k, rng=np.random.default_rng(7))
         ts = arrivals(120, seed=7)
         expected = offer_decisions(reference, ts)
         actual = kernel_decisions(kernel, ts, [k] * 12)
@@ -182,31 +178,49 @@ class TestBoundaryPlacements:
 
     def test_timer_firing_at_chunk_first_arrival(self):
         # Deadline falls exactly on the first arrival of chunk 2.
-        kernel = TimerKernel.start(period_us=1000.0)
+        kernel = StreamingTimerSystematic(period_us=1000.0)
         reference = StreamingTimerSystematic(period_us=1000.0)
         ts = np.asarray([0, 400, 800, 1000, 1400, 2000], dtype=np.int64)
         expected = offer_decisions(reference, ts)
         actual = kernel_decisions(kernel, ts, [3, 3])
         assert np.array_equal(actual, expected)
-        assert kernel.next_firing == reference._next_firing
+        assert kernel.next_firing == reference.next_firing
 
     def test_timer_long_silence_collapses_to_one_keep(self):
-        kernel = TimerKernel.start(period_us=100.0)
+        kernel = StreamingTimerSystematic(period_us=100.0)
         reference = StreamingTimerSystematic(period_us=100.0)
         ts = np.asarray([0, 50, 1_000_000, 1_000_010], dtype=np.int64)
         expected = offer_decisions(reference, ts)
         actual = kernel_decisions(kernel, ts, [2])
         assert np.array_equal(actual, expected)
-        assert kernel.next_firing == reference._next_firing
+        assert kernel.next_firing == reference.next_firing
+
+
+class TestRekey:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rekey_between_chunks_matches_offer(self, kind):
+        # Re-key both instances at the same stream positions: per
+        # packet on one, between ragged chunks on the other.
+        ts = arrivals(600, seed=13)
+        reference = make_streaming(kind, seed=13)
+        subject = make_streaming(kind, seed=13)
+        expected, actual = [], []
+        for lo, hi, k in ((0, 150, 4), (150, 330, 31), (330, 600, 2)):
+            expected.append(offer_decisions(reference, ts[lo:hi]))
+            actual.append(kernel_decisions(subject, ts[lo:hi], [11, 0, 64]))
+            reference.rekey(k, unit_period_us=900.0)
+            subject.rekey(k, unit_period_us=900.0)
+        assert np.array_equal(np.concatenate(actual), np.concatenate(expected))
+        assert_same_state(kind, reference, subject)
 
 
 class TestBatchAgreement:
-    """fastpath == streaming == batch where batch equivalence exists.
+    """keep_mask == offer == batch where batch equivalence exists.
 
     The batch stratified sampler draws with a different RNG discipline
     (``random() * size`` per bucket), so bit-equality with the
-    streaming/fastpath pair is only defined for systematic and timer;
-    stratified parity is pinned against streaming above.
+    streaming sampler is only defined for systematic and timer;
+    stratified ``keep_mask`` is pinned against ``offer`` above.
     """
 
     def test_systematic_three_way(self, minute_trace):
@@ -214,7 +228,7 @@ class TestBatchAgreement:
         batch = SystematicSampler(granularity=k, phase=phase).sample_indices(
             minute_trace
         )
-        kernel = SystematicKernel.start(granularity=k, phase=phase)
+        kernel = StreamingSystematic(granularity=k, phase=phase)
         mask = kernel_decisions(
             kernel, minute_trace.timestamps_us, [3000] * 9
         )
@@ -225,7 +239,7 @@ class TestBatchAgreement:
         batch = TimerSystematicSampler(period_us=period).sample_indices(
             minute_trace
         )
-        kernel = TimerKernel.start(period_us=period)
+        kernel = StreamingTimerSystematic(period_us=period)
         mask = kernel_decisions(
             kernel, minute_trace.timestamps_us, [1000] * 30
         )
@@ -234,8 +248,8 @@ class TestBatchAgreement:
 
 class TestKernelFactory:
     def test_adopts_mid_stream_state(self):
-        # Offer half the stream per packet, hand over to the kernel,
-        # finish chunked: the joint decision stream must match a pure
+        # Offer half the stream per packet, then finish the same
+        # sampler chunked: the joint decision stream must match a pure
         # per-packet run.
         ts = arrivals(200, seed=11)
         for kind in KINDS:
@@ -244,6 +258,7 @@ class TestKernelFactory:
             expected = offer_decisions(reference, ts)
             head = offer_decisions(subject, ts[:100])
             kernel = chunk_kernel_for(subject)
+            assert kernel is subject
             tail = kernel_decisions(kernel, ts[100:], [7] * 20)
             assert np.array_equal(np.concatenate([head, tail]), expected)
 
@@ -251,13 +266,10 @@ class TestKernelFactory:
         assert chunk_kernel_for(StreamingReservoir(capacity=5)) is None
 
     def test_validation_mirrors_streaming(self):
-        with pytest.raises(ValueError):
-            SystematicKernel.start(granularity=0)
-        with pytest.raises(ValueError):
-            SystematicKernel(granularity=5, countdown=5)
-        with pytest.raises(ValueError):
-            StratifiedKernel.start(granularity=0)
-        with pytest.raises(ValueError):
-            TimerKernel.start(period_us=0.0)
-        with pytest.raises(ValueError):
-            TimerKernel.start(period_us=10.0, phase_us=10.0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            StreamingSystematic(granularity=5).keep_mask(np.zeros((2, 2)))
+        for kind in KINDS:
+            with pytest.raises(ValueError, match="granularity"):
+                make_streaming(kind).rekey(0, unit_period_us=10.0)
+        with pytest.raises(ValueError, match="unit period"):
+            make_streaming("timer").rekey(4)

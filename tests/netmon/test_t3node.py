@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.sampling.streaming import StreamingSystematic
+from repro.netmon.objects import StatisticalObject
 from repro.netmon.t3node import T3Node
 from repro.trace.trace import Trace
 
@@ -136,3 +138,68 @@ class TestT3Node:
         estimate = node.estimated_total_packets()
         assert snmp == len(minute_trace)
         assert abs(estimate - snmp) / snmp < 0.01
+
+
+class _Recorder(StatisticalObject):
+    """Records every characterized packet as (interface, position)."""
+
+    name = "recorder"
+
+    def __init__(self):
+        self.packets = []
+
+    def observe(self, batch):
+        self.packets.extend(zip(batch.src_nets.tolist(), batch.sizes.tolist()))
+
+    def snapshot(self):
+        return {}
+
+    def reset(self):
+        self.packets = []
+
+
+class TestFirmwareRekey:
+    def test_set_granularity_matches_rekeyed_streaming_selector(self):
+        # Each interface's traffic carries its index in src_nets and
+        # its stream position in sizes, so the characterized stream
+        # tells exactly which packets every subsystem selected.
+        interfaces = ("t3", "ethernet", "fddi")
+        recorder = _Recorder()
+        node = T3Node(
+            "n", interfaces=interfaces, cpu_capacity_pps=10**6,
+            objects=[recorder],
+        )
+        references = [StreamingSystematic(node.granularity) for _ in interfaces]
+        expected = {i: [] for i in range(len(interfaces))}
+        offered = [0] * len(interfaces)
+        rng = np.random.default_rng(12)
+        # Per-second rate: fewer packets than k in some seconds, so the
+        # carried phase outlives whole seconds and re-keys.
+        for second, k in enumerate((50, 7, 7, 128, 3, 1, 16, 5)):
+            if second:
+                node.set_granularity(k)
+                for reference in references:
+                    reference.rekey(k)
+            traffic = {}
+            for i, name in enumerate(interfaces):
+                n = int(rng.integers(0, 300))
+                timestamps = np.sort(
+                    rng.integers(second * 1_000_000, (second + 1) * 1_000_000, n)
+                )
+                positions = offered[i] + np.arange(n)
+                offered[i] += n
+                traffic[name] = Trace(
+                    timestamps_us=timestamps, sizes=positions, src_nets=[i] * n
+                )
+                expected[i].extend(
+                    int(position)
+                    for position, timestamp in zip(positions, timestamps)
+                    if references[i].offer(int(timestamp))
+                )
+            node.process_second(traffic)
+        selected = {i: [] for i in range(len(interfaces))}
+        for interface, position in recorder.packets:
+            selected[interface].append(position)
+        assert selected == expected
+        assert all(expected.values())
+        assert node.interfaces["fddi"].subsystem.granularity == 5

@@ -541,6 +541,19 @@ class TestAdaptCommand:
         err = capsys.readouterr().err
         assert "granularity" in err
 
+    def test_adapt_rejects_out_of_range_phase(self, tmp_path, capsys):
+        trace_path = str(tmp_path / "t.pcap")
+        main(["generate", trace_path, "--duration", "5", "--seed", "5"])
+        capsys.readouterr()
+        for phase in ("500", "-3"):
+            argv = ["adapt", trace_path, "--method", "systematic"]
+            assert main(argv + ["--phase", phase]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error: phase must be in [0, 64), got %s\n" % phase
+            )
+            assert "done:" not in captured.out
+
     def test_adapt_missing_trace_fails_cleanly(self, tmp_path, capsys):
         assert main(["adapt", str(tmp_path / "nope.pcap")]) == 2
         err = capsys.readouterr().err
