@@ -16,8 +16,8 @@ already yields) as O(chunk) numpy kernels:
   (``keep_mask``, with ``offer`` as the per-packet reference), and
   :func:`chunk_kernel_for` hands the sampler itself back;
 * :mod:`repro.fastpath.flows` — a vectorized flow-accounting kernel
-  (packed-integer 5-tuple grouping, segmented idle-expiry
-  reconstruction) feeding :class:`~repro.flows.table.FlowTable`-
+  (packed-integer 5-tuple grouping, segmented idle-expiry and
+  active-timeout reconstruction) feeding :class:`~repro.flows.table.FlowTable`-
   compatible updates and the ``flow_cache_*`` live metrics;
 * :mod:`repro.fastpath.monitor` — the online path's one chunk loop:
   split a chunk at quality-window boundaries, close due windows, ask
@@ -30,9 +30,10 @@ The non-negotiable contract, pinned by ``tests/fastpath``: for every
 selector, chunk size, and chunk boundary placement, the fast path's
 keep/skip stream, exported flow records, and live metrics are
 bit-identical to the per-packet reference — same RNG discipline, same
-state at every chunk boundary.  Where a kernel cannot prove a chunk is
-event-free (flow expiry, eviction), it falls back to the per-packet
-reference for that chunk, so identity never rests on an approximation.
+state at every chunk boundary.  Where the flow kernel cannot reproduce
+a chunk vectorially (an emergency eviction, or time going backwards),
+it replays that chunk through the per-packet reference, so identity
+never rests on an approximation.
 """
 
 from repro.fastpath.flows import (

@@ -5,30 +5,38 @@ faithful NetFlow cache: idle expiry interleaved with arrivals, active
 timeouts, LRU emergency eviction — all order-dependent.  Vectorizing it
 *bit-identically* splits each chunk into two regimes:
 
-* **Idle-only chunks** — the common case, including low-rate traces
-  where every chunk spans many idle timeouts.  Idle expiry is
-  reconstructible without replay: a flow's packet run splits into
-  *segments* wherever consecutive activity (counting any live entry's
-  pre-chunk activity) is separated by at least the idle timeout, every
-  closed segment exports with reason ``idle`` at the first arrival past
-  its deadline, and the global export order is exactly ascending
-  ``(trigger arrival, last_us, update sequence)`` because the table
-  pops expiries from the LRU end — which *is* last-update order.  The
-  kernel therefore computes, in O(chunk) numpy plus O(segments) python:
-  per-key segmentation (one ``argsort``/``reduceat`` pass), the export
-  records in reference order, the occupancy trajectory (creations
-  minus removals, cumulative-summed) for exact creation-time peak
-  tracking, and the final entries rebuilt in the reference's LRU
-  order — untouched survivors first, then touched keys by final
-  update position.
+* **Timeout-only chunks** — the common case, including low-rate traces
+  where every chunk spans many idle timeouts and long flows that
+  outlive the active timeout.  Both timeouts are reconstructible
+  without replay.  A flow's packet run splits into *segments* wherever
+  consecutive activity (counting any live entry's pre-chunk activity)
+  is separated by at least the idle timeout; within a segment the
+  entry restarts at the first packet at or after its
+  ``first_us + active_timeout_us`` (at most ``ceil(span / active)``
+  restarts, one ``searchsorted`` each), and the restarted sub-flow's
+  clock starts at that packet.  Every sub-flow ended by a restart
+  exports with reason ``active`` at the restarting packet; every other
+  closed sub-flow exports ``idle`` at the first arrival past its
+  deadline.  The table pops idle expiries from the LRU end — which
+  *is* last-update order — before it checks the arriving key's active
+  timeout, so the global export order is exactly ascending
+  ``(trigger arrival, idle-before-active, last_us, update sequence)``.
+  The kernel therefore computes, in O(chunk) numpy plus O(sub-flows)
+  python: per-key segmentation (one ``argsort``/``reduceat`` pass),
+  the export records in reference order, the occupancy trajectory
+  (creations minus removals, cumulative-summed; a restart is -1 then
+  +1 at its packet) for exact creation-time peak tracking, and the
+  final entries rebuilt in the reference's LRU order — untouched
+  survivors first, then touched keys by final update position.
 
-* **Chunks with other events** — an active timeout that would fire
-  (some segment outlives ``active_timeout_us``), an emergency eviction
-  (the computed occupancy trajectory crosses ``max_flows``), or
-  non-monotonic timestamps.  Both detections are exact, both are made
-  *before* any state is mutated, and both fall back to the per-packet
-  reference for the whole chunk, so identity never depends on
+* **Chunks with an eviction or backwards time** — an emergency
+  eviction (the computed occupancy trajectory crosses ``max_flows``)
+  or non-monotonic timestamps.  Both detections are exact, both are
+  made *before* any state is mutated, and both replay the whole chunk
+  through the per-packet reference, so identity never depends on
   reproducing eviction interleavings vectorially.
+  :attr:`FlowAccountantKernel.demoted_packets` counts the replayed
+  packets by cause.
 
 Either way :func:`account_chunk` returns the chunk's exported records
 (in export order) and leaves ``table`` — entries, LRU order, counters,
@@ -42,21 +50,34 @@ chunk exactly as the per-packet ``observe`` loop would leave them
 chunk-aggregated updates land on identical values).
 """
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.fastpath.pipeline import DEFAULT_CHUNK_PACKETS, iter_trace_chunks
 from repro.flows.sampled import StreamFlowAccountant, _Side
-from repro.flows.table import REASON_IDLE, FlowRecord, FlowTable, _FlowEntry
+from repro.flows.table import (
+    REASON_ACTIVE,
+    REASON_IDLE,
+    FlowRecord,
+    FlowTable,
+    _FlowEntry,
+)
 from repro.trace.trace import Trace
 
 __all__ = [
+    "DEMOTED_BACKWARDS_TIME",
+    "DEMOTED_EVICTION",
     "FlowAccountantKernel",
     "account_chunk",
     "encode_flow_keys",
     "fast_aggregate_trace",
 ]
+
+#: Why a chunk was replayed per packet: the keys of
+#: :attr:`FlowAccountantKernel.demoted_packets`.
+DEMOTED_EVICTION = "eviction"
+DEMOTED_BACKWARDS_TIME = "backwards_time"
 
 
 def encode_flow_keys(trace: Trace) -> "np.ndarray":
@@ -114,7 +135,7 @@ def _group_keys(
 
 
 def _record(key: Tuple[int, ...], packets: int, bytes_: int,
-            first_us: int, last_us: int) -> FlowRecord:
+            first_us: int, last_us: int, reason: str) -> FlowRecord:
     src_net, dst_net, src_port, dst_port, protocol = key
     return FlowRecord(
         src_net=src_net,
@@ -126,17 +147,26 @@ def _record(key: Tuple[int, ...], packets: int, bytes_: int,
         bytes=bytes_,
         first_us=first_us,
         last_us=last_us,
-        reason=REASON_IDLE,
+        reason=reason,
     )
 
 
-def _fallback(
+def _replay(
     table: FlowTable,
     timestamps_us: "np.ndarray",
     sizes: "np.ndarray",
     keys: "np.ndarray",
+    reason: str,
+    demoted: Optional[Dict[str, int]],
 ) -> List[FlowRecord]:
-    """Feed the chunk through the per-packet reference path."""
+    """Feed the chunk through the per-packet reference path.
+
+    The chunk's packets are counted under ``reason`` in ``demoted``
+    before the replay starts (a backwards timestamp raises mid-replay,
+    exactly as per-packet feeding would).
+    """
+    if demoted is not None:
+        demoted[reason] += int(timestamps_us.shape[0])
     records: List[FlowRecord] = []
     key_rows = keys.tolist()
     for timestamp, size, row in zip(
@@ -144,6 +174,51 @@ def _fallback(
     ):
         records.extend(table.observe(timestamp, size, tuple(row)))
     return records
+
+
+def _active_restarts(
+    times_sorted: "np.ndarray",
+    boundary: "np.ndarray",
+    continued_pos: "np.ndarray",
+    continued_first_us: "np.ndarray",
+    active_timeout_us: int,
+) -> "np.ndarray":
+    """Grouped positions where an active timeout restarts a flow.
+
+    ``boundary`` marks the first packet of every idle segment and
+    ``continued_pos`` the segments that continue a live entry, whose
+    clock starts at ``continued_first_us``.  Within a segment the entry
+    is exported ``active`` and restarted by the first packet at or
+    after its ``first_us + active_timeout_us``, and the restarted
+    sub-flow's clock starts at that packet — so a segment spanning
+    ``span`` restarts at most ``ceil(span / active)`` times, each found
+    by one ``searchsorted``.  A continued segment can restart at its
+    own first packet: the live entry then exports whole.
+    """
+    seg_starts = np.flatnonzero(boundary)
+    seg_ends = np.append(seg_starts[1:], times_sorted.size)
+    seg_first_us = times_sorted[seg_starts]
+    seg_first_us[np.searchsorted(seg_starts, continued_pos)] = (
+        continued_first_us
+    )
+    long_segments = np.flatnonzero(
+        times_sorted[seg_ends - 1] - seg_first_us >= active_timeout_us
+    )
+    restarts: List[int] = []
+    for s in long_segments.tolist():
+        lo = int(seg_starts[s])
+        hi = int(seg_ends[s])
+        first_us = int(seg_first_us[s])
+        last_us = int(times_sorted[hi - 1])
+        while last_us - first_us >= active_timeout_us:
+            lo += int(
+                np.searchsorted(
+                    times_sorted[lo:hi], first_us + active_timeout_us
+                )
+            )
+            restarts.append(lo)
+            first_us = int(times_sorted[lo])
+    return np.asarray(restarts, dtype=np.intp)
 
 
 def account_chunk(
@@ -158,16 +233,29 @@ def account_chunk(
     its timestamp and size columns.  Returns the records this chunk
     exported, in export order (empty for a proven event-free chunk).
     """
+    return _account_chunk(table, timestamps_us, sizes, keys, None)
+
+
+def _account_chunk(
+    table: FlowTable,
+    timestamps_us: "np.ndarray",
+    sizes: "np.ndarray",
+    keys: "np.ndarray",
+    demoted: Optional[Dict[str, int]],
+) -> List[FlowRecord]:
+    """:func:`account_chunk`, counting replayed packets in ``demoted``."""
     n = int(timestamps_us.shape[0])
     if n == 0:
         return []
     arrivals = np.asarray(timestamps_us, dtype=np.int64)
     first_ts = int(arrivals[0])
     last_ts = int(arrivals[-1])
-    if table._last_timestamp is not None and first_ts < table._last_timestamp:
-        return _fallback(table, timestamps_us, sizes, keys)
-    if n > 1 and np.any(np.diff(arrivals) < 0):
-        return _fallback(table, timestamps_us, sizes, keys)
+    if (
+        table._last_timestamp is not None and first_ts < table._last_timestamp
+    ) or (n > 1 and np.any(np.diff(arrivals) < 0)):
+        return _replay(
+            table, timestamps_us, sizes, keys, DEMOTED_BACKWARDS_TIME, demoted
+        )
 
     idle = table.idle_timeout_us
     entries = table._entries
@@ -203,10 +291,39 @@ def account_chunk(
     )
     breaks = (times_sorted - prev_times) >= idle
 
-    seg_starts = np.flatnonzero(group_start | breaks)
+    # A key's first packet continues its live entry unless the gap to
+    # the entry broke — then the entry exports whole, pre-chunk.
+    has_entry = np.fromiter(
+        (entry is not None for entry in live), dtype=bool, count=group_count
+    )
+    continued_pos = group_start_pos[has_entry & ~breaks[group_start_pos]]
+    continued = [live[g] for g in group_sorted[continued_pos].tolist()]
+    continued_first_us, continued_packets, continued_bytes = (
+        np.array(
+            [(entry.first_us, entry.packets, entry.bytes) for entry in continued],
+            dtype=np.int64,
+        )
+        .reshape(-1, 3)
+        .T
+    )
+
+    # Sub-flows: idle segments, split again at every active restart.
+    boundary = group_start | breaks
+    restarts = _active_restarts(
+        times_sorted,
+        boundary,
+        continued_pos,
+        continued_first_us,
+        table.active_timeout_us,
+    )
+    is_restart = np.zeros(n, dtype=bool)
+    is_restart[restarts] = True
+    boundary |= is_restart
+
+    seg_starts = np.flatnonzero(boundary)
     seg_ends = np.append(seg_starts[1:], n)
     seg_group = group_sorted[seg_starts]
-    seg_first_us = times_sorted[seg_starts].copy()
+    seg_first_us = times_sorted[seg_starts]
     seg_last_us = times_sorted[seg_ends - 1]
     seg_packets = seg_ends - seg_starts
     seg_bytes = np.add.reduceat(sizes64[order], seg_starts)
@@ -214,37 +331,35 @@ def account_chunk(
     seg_final_idx = order[seg_ends - 1]
     seg_count = seg_starts.size
 
-    # A group's first segment continues its live entry unless the gap
-    # to the entry broke — then the entry exports whole, pre-chunk.
-    has_entry = np.asarray(
-        [live[g] is not None for g in seg_group.tolist()], dtype=bool
-    )
-    merged = group_start[seg_starts] & ~breaks[seg_starts] & has_entry
-    for s in np.flatnonzero(merged).tolist():
-        entry = live[int(seg_group[s])]
-        seg_first_us[s] = entry.first_us
-        seg_packets[s] += entry.packets
-        seg_bytes[s] += entry.bytes
+    # A continued entry restarted at its key's first packet exports
+    # whole (``active``); otherwise the first sub-flow merges into it.
+    entry_restarted = is_restart[continued_pos]
+    entry_merged = ~entry_restarted
+    merged_seg = np.searchsorted(seg_starts, continued_pos[entry_merged])
+    merged = np.zeros(seg_count, dtype=bool)
+    merged[merged_seg] = True
+    seg_first_us[merged_seg] = continued_first_us[entry_merged]
+    seg_packets[merged_seg] += continued_packets[entry_merged]
+    seg_bytes[merged_seg] += continued_bytes[entry_merged]
 
-    # An active timeout would export-and-restart mid-segment: exact
-    # detection (some packet arrives >= active after its segment's
-    # first_us), handled by the reference path.
-    if np.any(seg_last_us - seg_first_us >= table.active_timeout_us):
-        return _fallback(table, timestamps_us, sizes, keys)
-
+    # Each sub-flow ends by an active restart of its own key, by idle
+    # expiry, or survives the chunk as its key's live entry.
+    active_closed = np.zeros(seg_count, dtype=bool)
+    active_closed[:-1] = is_restart[seg_starts[1:]] & ~group_start[
+        seg_starts[1:]
+    ]
     group_last_seg = np.empty(seg_count, dtype=bool)
     group_last_seg[-1] = True
     group_last_seg[:-1] = seg_group[1:] != seg_group[:-1]
-    closed_seg = ~group_last_seg | (last_ts - seg_last_us >= idle)
+    survives = group_last_seg & (last_ts - seg_last_us < idle)
+    idle_closed = ~survives & ~active_closed
 
     # Pre-chunk closures, in dict order (= LRU order): untouched
     # entries gone idle by chunk end, and entries whose key reappears
     # only after an idle break.
     entry_broken = {
-        group_keys[int(seg_group[s])]
-        for s in np.flatnonzero(
-            group_start[seg_starts] & breaks[seg_starts]
-        ).tolist()
+        group_keys[g]
+        for g in group_sorted[np.flatnonzero(group_start & breaks)].tolist()
     }
     touched = set(group_keys)
     prechunk_closed = [
@@ -254,15 +369,20 @@ def account_chunk(
         or (key not in touched and last_ts - entry.last_us >= idle)
     ]
 
-    # Occupancy trajectory: +1 at each creation (non-merged segment),
-    # -1 at each closure's trigger arrival (first arrival past its
-    # idle deadline; expiries at an arrival precede its insertion).
-    # The reference tracks peak only at creations, and evicts when a
-    # creation finds the table full — both read off this trajectory.
+    # Occupancy trajectory: +1 at each creation (non-merged sub-flow,
+    # restarts included), -1 at each closure's trigger arrival — the
+    # first arrival past its idle deadline, or the restarting packet
+    # (expiries and the active export at an arrival precede its
+    # insertion).  The reference tracks peak only at creations, and
+    # evicts when a creation finds the table full — both read off this
+    # trajectory.
     create_idx = seg_first_idx[~merged]
-    closed_trig = np.searchsorted(
-        arrivals, seg_last_us[closed_seg] + idle, side="left"
+    idle_segs = np.flatnonzero(idle_closed)
+    idle_segs = idle_segs[np.argsort(seg_final_idx[idle_segs], kind="stable")]
+    idle_trig = np.searchsorted(
+        arrivals, seg_last_us[idle_segs] + idle, side="left"
     )
+    active_trig = order[restarts]
     prechunk_last = np.fromiter(
         (entry.last_us for entry in prechunk_closed),
         dtype=np.int64,
@@ -272,55 +392,75 @@ def account_chunk(
     if create_idx.size:
         delta = np.zeros(n, dtype=np.int64)
         np.add.at(delta, create_idx, 1)
-        np.subtract.at(delta, closed_trig, 1)
+        np.subtract.at(delta, idle_trig, 1)
         np.subtract.at(delta, prechunk_trig, 1)
+        np.subtract.at(delta, active_trig, 1)
         occupancy_after = len(entries) + np.cumsum(delta)
         peak_chunk = int(occupancy_after[create_idx].max())
         if peak_chunk > table.max_flows:
-            return _fallback(table, timestamps_us, sizes, keys)
+            return _replay(
+                table, timestamps_us, sizes, keys, DEMOTED_EVICTION, demoted
+            )
     else:
         peak_chunk = 0
 
-    # Export order: the table pops expiries from the LRU end, so the
-    # global stream is ascending (trigger, last_us, update sequence);
-    # pre-chunk closures precede chunk segments on full ties because
-    # their last update is older.
-    candidates: List[Tuple[int, int, int, FlowRecord]] = []
-    for seq, (entry, trig) in enumerate(
-        zip(prechunk_closed, prechunk_trig.tolist())
-    ):
-        candidates.append((trig, entry.last_us, seq, entry.export(REASON_IDLE)))
-    closed_indices = np.flatnonzero(closed_seg)
-    update_order = np.argsort(seg_final_idx[closed_seg], kind="stable")
-    for seq, (s, trig) in enumerate(
-        zip(
-            closed_indices[update_order].tolist(),
-            closed_trig[update_order].tolist(),
-        ),
-        start=len(candidates),
-    ):
-        candidates.append(
-            (
-                int(trig),
-                int(seg_last_us[s]),
-                seq,
-                _record(
-                    group_keys[int(seg_group[s])],
-                    int(seg_packets[s]),
-                    int(seg_bytes[s]),
-                    int(seg_first_us[s]),
-                    int(seg_last_us[s]),
-                ),
-            )
+    # Export order: at one arrival the table first pops idle expiries
+    # from the LRU end — ascending (last_us, update sequence) — then
+    # exports the arriving key's entry if its active timeout fired, so
+    # the global stream is ascending (trigger, idle-before-active,
+    # last_us, update sequence).  Pre-chunk closures precede chunk
+    # sub-flows on full ties because their last update is older.
+    active_segs = np.flatnonzero(active_closed)
+    sub_flows = np.concatenate((idle_segs, active_segs))
+    sub_reasons = [REASON_IDLE] * idle_segs.size + [REASON_ACTIVE] * (
+        active_segs.size
+    )
+    candidates = [entry.export(REASON_IDLE) for entry in prechunk_closed]
+    candidates.extend(
+        _record(group_keys[g], packets, bytes_, first_us, last_us, reason)
+        for g, packets, bytes_, first_us, last_us, reason in zip(
+            seg_group[sub_flows].tolist(),
+            seg_packets[sub_flows].tolist(),
+            seg_bytes[sub_flows].tolist(),
+            seg_first_us[sub_flows].tolist(),
+            seg_last_us[sub_flows].tolist(),
+            sub_reasons,
         )
-    candidates.sort(key=lambda item: (item[0], item[1], item[2]))
-    records = [record for _trig, _last, _seq, record in candidates]
+    )
+    candidates.extend(
+        entry.export(REASON_ACTIVE)
+        for entry, restarted in zip(continued, entry_restarted.tolist())
+        if restarted
+    )
+    idle_count = len(prechunk_closed) + idle_segs.size
+    export_trigger = np.concatenate(
+        (
+            prechunk_trig,
+            idle_trig,
+            seg_first_idx[active_segs + 1],
+            order[continued_pos[entry_restarted]],
+        )
+    )
+    export_last_us = np.concatenate(
+        (
+            prechunk_last,
+            seg_last_us[idle_segs],
+            np.zeros(restarts.size, dtype=np.int64),
+        )
+    )
+    export_active = np.arange(export_trigger.size) >= idle_count
+    records = [
+        candidates[i]
+        for i in np.lexsort(
+            (export_last_us, export_active, export_trigger)
+        ).tolist()
+    ]
 
     # Commit: counters, then the entries dict rebuilt in LRU order —
     # untouched survivors keep their relative order ahead of touched
     # keys re-inserted by final update position.
-    if records:
-        table.exported[REASON_IDLE] += len(records)
+    table.exported[REASON_IDLE] += idle_count
+    table.exported[REASON_ACTIVE] += restarts.size
     table.flows_created += int(create_idx.size)
     if peak_chunk > table.peak_occupancy:
         table.peak_occupancy = peak_chunk
@@ -328,15 +468,25 @@ def account_chunk(
         del entries[entry.key]
     for key in group_keys:
         entries.pop(key, None)
-    surviving = np.flatnonzero(~closed_seg)
-    for s in surviving[
-        np.argsort(seg_final_idx[~closed_seg], kind="stable")
-    ].tolist():
-        key = group_keys[int(seg_group[s])]
-        entry = _FlowEntry(key, int(seg_first_us[s]), 0)
-        entry.packets = int(seg_packets[s])
-        entry.bytes = int(seg_bytes[s])
-        entry.last_us = int(seg_last_us[s])
+    surviving = np.flatnonzero(survives)
+    surviving = surviving[np.argsort(seg_final_idx[surviving], kind="stable")]
+    for g, first_us, packets, bytes_, last_us in zip(
+        *(
+            column[surviving].tolist()
+            for column in (
+                seg_group,
+                seg_first_us,
+                seg_packets,
+                seg_bytes,
+                seg_last_us,
+            )
+        )
+    ):
+        key = group_keys[g]
+        entry = _FlowEntry(key, first_us, 0)
+        entry.packets = packets
+        entry.bytes = bytes_
+        entry.last_us = last_us
         entries[key] = entry
     table._last_timestamp = last_ts
     return records
@@ -377,6 +527,12 @@ class FlowAccountantKernel:
 
     def __init__(self, accountant: StreamFlowAccountant) -> None:
         self.accountant = accountant
+        #: Packets the whole-chunk fallback replayed through the
+        #: per-packet reference, by cause, both sides combined.
+        self.demoted_packets: Dict[str, int] = {
+            DEMOTED_EVICTION: 0,
+            DEMOTED_BACKWARDS_TIME: 0,
+        }
 
     def observe_chunk(self, chunk: Trace, kept: "np.ndarray") -> None:
         """Account one chunk of offered packets and their decisions."""
@@ -387,36 +543,29 @@ class FlowAccountantKernel:
                 % (kept_mask.shape, len(chunk))
             )
         keys = encode_flow_keys(chunk)
-        self._account_side(
-            self.accountant._sides[0], chunk.timestamps_us, chunk.sizes, keys
-        )
+        parent, sampled = self.accountant._sides
+        self._account(parent, chunk.timestamps_us, chunk.sizes, keys)
         if kept_mask.any():
-            self._account_side(
-                self.accountant._sides[1],
+            self._account(
+                sampled,
                 chunk.timestamps_us[kept_mask],
                 chunk.sizes[kept_mask],
                 keys[kept_mask],
             )
 
-    @staticmethod
-    def _account_side(
+    def _account(
+        self,
         side: _Side,
         timestamps_us: "np.ndarray",
         sizes: "np.ndarray",
         keys: "np.ndarray",
     ) -> None:
-        table, records, occupancy, peak, exported, evicted = side
-        new_records = account_chunk(table, timestamps_us, sizes, keys)
-        if new_records:
-            records.extend(new_records)
-            exported.inc(len(new_records))
-            evictions = sum(
-                record.reason == "evicted" for record in new_records
-            )
-            if evictions:
-                evicted.inc(evictions)
-        occupancy.set(float(table.occupancy))
-        peak.set(float(table.peak_occupancy))
+        self.accountant._publish(
+            side,
+            _account_chunk(
+                side[0], timestamps_us, sizes, keys, self.demoted_packets
+            ),
+        )
 
     def flush(self) -> None:
         """Close out both tables at end of stream (reference flush)."""

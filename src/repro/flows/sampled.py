@@ -31,7 +31,13 @@ import numpy as np
 
 from repro.core.metrics.bins import BinSpec
 from repro.core.sampling.base import Sampler, SamplingResult
-from repro.flows.table import FlowKey, FlowRecord, FlowTable, aggregate_trace
+from repro.flows.table import (
+    REASON_EVICTED,
+    FlowKey,
+    FlowRecord,
+    FlowTable,
+    aggregate_trace,
+)
 from repro.obs.instrument import Counter, Gauge
 from repro.obs.live.store import LiveMetricsStore
 from repro.trace.trace import Trace
@@ -298,21 +304,20 @@ class StreamFlowAccountant:
         self, timestamp_us: int, size: int, key: FlowKey, kept: bool
     ) -> None:
         """Account one offered packet and its keep/skip decision."""
-        self._account(self._sides[0], timestamp_us, size, key)
+        parent, sampled = self._sides
+        self._publish(parent, parent[0].observe(timestamp_us, size, key))
         if kept:
-            self._account(self._sides[1], timestamp_us, size, key)
+            self._publish(sampled, sampled[0].observe(timestamp_us, size, key))
 
     @staticmethod
-    def _account(
-        side: _Side, timestamp_us: int, size: int, key: FlowKey
-    ) -> None:
+    def _publish(side: _Side, new_records: List[FlowRecord]) -> None:
+        """Append one side's new records and mirror its table metrics."""
         table, records, occupancy, peak, exported, evicted = side
-        new_records = table.observe(timestamp_us, size, key)
         if new_records:
             records.extend(new_records)
             exported.inc(len(new_records))
             evictions = sum(
-                record.reason == "evicted" for record in new_records
+                record.reason == REASON_EVICTED for record in new_records
             )
             if evictions:
                 evicted.inc(evictions)

@@ -3,9 +3,11 @@
 :func:`repro.fastpath.flows.account_chunk` must leave the flow table —
 entries, LRU order, counters, last timestamp — and the exported record
 stream bit-identical to per-packet :meth:`FlowTable.observe` calls, for
-any chunking.  Where a chunk *could* export (idle, active, eviction)
-the kernel must fall back rather than approximate, so the eventful
-cases below exercise fallback correctness, not vectorized exports.
+any chunking.  Idle expiry and active timeouts are reconstructed
+vectorially, so the eventful cases below exercise those exports
+directly; only an emergency eviction or a backwards timestamp replays
+the chunk per packet, and :attr:`FlowAccountantKernel.demoted_packets`
+counts exactly those replays.
 """
 
 import numpy as np
@@ -20,7 +22,13 @@ from repro.fastpath.flows import (
     fast_aggregate_trace,
 )
 from repro.flows.sampled import StreamFlowAccountant
-from repro.flows.table import FlowTable, aggregate_trace, iter_flow_keys
+from repro.flows.table import (
+    REASON_ACTIVE,
+    REASON_IDLE,
+    FlowTable,
+    aggregate_trace,
+    iter_flow_keys,
+)
 from repro.trace.trace import Trace
 
 
@@ -31,12 +39,22 @@ def feed_per_packet(table: FlowTable, trace: Trace):
     return records
 
 
+def chunk_bounds(n: int, chunk_sizes):
+    """``(start, stop)`` per chunk; the remainder after the listed sizes
+    is one final chunk."""
+    start = 0
+    for size in list(chunk_sizes) + [n]:
+        stop = min(start + size, n)
+        yield start, stop
+        start = stop
+        if start >= n:
+            break
+
+
 def feed_chunked(table: FlowTable, trace: Trace, chunk_sizes):
     records = []
     keys = encode_flow_keys(trace)
-    start = 0
-    for size in list(chunk_sizes) + [len(trace)]:
-        stop = min(start + size, len(trace))
+    for start, stop in chunk_bounds(len(trace), chunk_sizes):
         records.extend(
             account_chunk(
                 table,
@@ -45,9 +63,6 @@ def feed_chunked(table: FlowTable, trace: Trace, chunk_sizes):
                 keys[start:stop],
             )
         )
-        start = stop
-        if start >= len(trace):
-            break
     return records
 
 
@@ -64,6 +79,55 @@ def assert_tables_identical(reference: FlowTable, subject: FlowTable):
             expected.first_us,
             expected.last_us,
         )
+
+
+def run_accountants(trace: Trace, kept, chunk_sizes, **table_kwargs):
+    """Per-packet ``observe`` vs :class:`FlowAccountantKernel` chunks.
+
+    Returns ``(reference, subject, kernel)``; neither side is flushed.
+    """
+    reference = StreamFlowAccountant(**table_kwargs)
+    for i, (timestamp_us, size, key) in enumerate(iter_flow_keys(trace)):
+        reference.observe(timestamp_us, size, key, bool(kept[i]))
+    subject = StreamFlowAccountant(**table_kwargs)
+    kernel = FlowAccountantKernel(subject)
+    for start, stop in chunk_bounds(len(trace), chunk_sizes):
+        kernel.observe_chunk(
+            trace.slice_packets(start, stop), kept[start:stop]
+        )
+    return reference, subject, kernel
+
+
+def assert_accountants_identical(
+    reference: StreamFlowAccountant, subject: StreamFlowAccountant
+):
+    assert subject.parent() == reference.parent()
+    assert subject.sampled() == reference.sampled()
+    assert_tables_identical(reference.parent_table, subject.parent_table)
+    assert_tables_identical(reference.sampled_table, subject.sampled_table)
+    assert subject.store.snapshot() == reference.store.snapshot()
+
+
+def assert_not_demoted(kernel: FlowAccountantKernel):
+    assert not any(kernel.demoted_packets.values()), kernel.demoted_packets
+
+
+def keyed_trace(packets) -> Trace:
+    """A trace from ``(timestamp_us, key_id)`` pairs; each id is its own
+    5-tuple (source port ``1000 + id``) and packet size ``100 + id``."""
+    timestamps, ids = (
+        np.asarray(column, dtype=np.int64) for column in zip(*packets)
+    )
+    n = ids.size
+    return Trace(
+        timestamps_us=timestamps,
+        sizes=(100 + ids).astype(np.int32),
+        protocols=np.full(n, 6, dtype=np.int64),
+        src_nets=np.ones(n, dtype=np.int64),
+        dst_nets=np.full(n, 2, dtype=np.int64),
+        src_ports=1000 + ids,
+        dst_ports=np.full(n, 23, dtype=np.int64),
+    )
 
 
 def flow_trace(n: int, seed: int, keys: int = 40, gap_hi: int = 5000) -> Trace:
@@ -117,7 +181,7 @@ class TestEventFreeChunks:
 
 
 class TestEventfulFallback:
-    """Chunks where exports can fire must take the reference path."""
+    """Eventful chunks: vectorized idle expiry and exact eviction replay."""
 
     def test_idle_expiry_interleaved(self):
         # Gaps larger than the idle timeout force intra-chunk expiries.
@@ -127,16 +191,6 @@ class TestEventfulFallback:
         subject = FlowTable(**timeouts)
         expected = feed_per_packet(reference, trace)
         actual = feed_chunked(subject, trace, [37] * 9)
-        assert actual == expected
-        assert_tables_identical(reference, subject)
-
-    def test_active_timeout(self):
-        trace = flow_trace(300, seed=3, keys=5, gap_hi=50_000)
-        timeouts = dict(idle_timeout_us=2_000_000, active_timeout_us=2_000_000)
-        reference = FlowTable(**timeouts)
-        subject = FlowTable(**timeouts)
-        expected = feed_per_packet(reference, trace)
-        actual = feed_chunked(subject, trace, [64] * 5)
         assert actual == expected
         assert_tables_identical(reference, subject)
 
@@ -171,6 +225,183 @@ class TestEventfulFallback:
         assert_tables_identical(reference, subject)
 
 
+class TestActiveTimeouts:
+    """Active-timeout restarts are reconstructed vectorially, never replayed."""
+
+    #: Short timeouts for handmade traces: idle 10 us, active 20 us.
+    SHORT = dict(idle_timeout_us=10, active_timeout_us=20)
+
+    def test_active_timeout(self):
+        trace = flow_trace(300, seed=3, keys=5, gap_hi=50_000)
+        timeouts = dict(idle_timeout_us=2_000_000, active_timeout_us=2_000_000)
+        reference = FlowTable(**timeouts)
+        subject = FlowTable(**timeouts)
+        expected = feed_per_packet(reference, trace)
+        actual = feed_chunked(subject, trace, [64] * 5)
+        assert actual == expected
+        assert_tables_identical(reference, subject)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=300),
+        seed=st.integers(min_value=0, max_value=9999),
+        keys=st.integers(min_value=1, max_value=12),
+        idle_ms=st.integers(min_value=1, max_value=50),
+        active_factor=st.integers(min_value=1, max_value=6),
+        active_permille=st.integers(min_value=0, max_value=999),
+        gap_divisor=st.integers(min_value=1, max_value=40),
+        keep_every=st.integers(min_value=1, max_value=4),
+        chunk_sizes=st.lists(
+            st.integers(min_value=0, max_value=120), max_size=20
+        ),
+    )
+    def test_active_property(
+        self,
+        n,
+        seed,
+        keys,
+        idle_ms,
+        active_factor,
+        active_permille,
+        gap_divisor,
+        keep_every,
+        chunk_sizes,
+    ):
+        # active == idle when factor is 1 and permille 0; small gaps
+        # relative to idle keep segments alive across many timeouts.
+        idle_us = idle_ms * 1000
+        timeouts = dict(
+            idle_timeout_us=idle_us,
+            active_timeout_us=idle_us * active_factor
+            + idle_us * active_permille // 1000,
+        )
+        trace = flow_trace(
+            n, seed, keys=keys, gap_hi=max(1, idle_us // gap_divisor)
+        )
+        kept = np.arange(n) % keep_every == 0
+        reference, subject, kernel = run_accountants(
+            trace, kept, chunk_sizes, **timeouts
+        )
+        assert_accountants_identical(reference, subject)
+        reference.flush()
+        kernel.flush()
+        assert_accountants_identical(reference, subject)
+        assert_not_demoted(kernel)
+
+    def test_restart_at_first_chunk_packet(self):
+        # Key 0's live entry (first_us 0) is still idle-fresh at 20 but
+        # active-expired: it exports whole, reason active, at that packet.
+        trace = keyed_trace([(0, 0), (5, 0), (12, 0), (20, 0), (25, 0)])
+        reference = FlowTable(**self.SHORT)
+        subject = FlowTable(**self.SHORT)
+        expected = feed_per_packet(reference, trace)
+        keys = encode_flow_keys(trace)
+        assert account_chunk(
+            subject, trace.timestamps_us[:3], trace.sizes[:3], keys[:3]
+        ) == []
+        records = account_chunk(
+            subject, trace.timestamps_us[3:], trace.sizes[3:], keys[3:]
+        )
+        assert records == expected
+        assert [(r.reason, r.packets, r.first_us, r.last_us) for r in records] == [
+            (REASON_ACTIVE, 3, 0, 12)
+        ]
+        assert_tables_identical(reference, subject)
+        assert subject.flush() == reference.flush()
+
+    @pytest.mark.parametrize("chunk_sizes", [[], [3], [1] * 21])
+    def test_many_restarts_in_one_segment(self, chunk_sizes):
+        # One key every 5 us over 100 us: restarts at 20, 40, 60, 80, 100.
+        trace = keyed_trace([(t, 0) for t in range(0, 105, 5)])
+        reference = FlowTable(**self.SHORT)
+        subject = FlowTable(**self.SHORT)
+        expected = feed_per_packet(reference, trace)
+        actual = feed_chunked(subject, trace, chunk_sizes)
+        assert actual == expected
+        assert [(r.reason, r.first_us, r.last_us) for r in actual] == [
+            (REASON_ACTIVE, first, first + 15) for first in range(0, 100, 20)
+        ]
+        assert subject.exported[REASON_ACTIVE] == 5
+        assert subject.flows_created == 6
+        assert_tables_identical(reference, subject)
+        assert subject.flush() == reference.flush()
+
+    @pytest.mark.parametrize("chunk_sizes", [[], [5], [3], [1] * 6])
+    def test_idle_expiries_precede_active_export(self, chunk_sizes):
+        # At t=20 keys 1 and 2 go idle (LRU order) and key 0's active
+        # timeout fires: two idle exports, then the active one.
+        trace = keyed_trace(
+            [(0, 0), (6, 0), (8, 1), (9, 2), (15, 0), (20, 0)]
+        )
+        reference = FlowTable(**self.SHORT)
+        subject = FlowTable(**self.SHORT)
+        expected = feed_per_packet(reference, trace)
+        actual = feed_chunked(subject, trace, chunk_sizes)
+        assert actual == expected
+        assert [(r.reason, r.src_port) for r in actual] == [
+            (REASON_IDLE, 1001),
+            (REASON_IDLE, 1002),
+            (REASON_ACTIVE, 1000),
+        ]
+        assert_tables_identical(reference, subject)
+        assert subject.flush() == reference.flush()
+
+    def test_sampled_side_restarts(self):
+        trace = flow_trace(600, seed=8, keys=6, gap_hi=20_000)
+        kept = np.arange(len(trace)) % 3 == 1
+        timeouts = dict(idle_timeout_us=400_000, active_timeout_us=1_000_000)
+        reference, subject, kernel = run_accountants(
+            trace, kept, [97] * 7, **timeouts
+        )
+        assert reference.sampled_table.exported[REASON_ACTIVE] > 0
+        assert_accountants_identical(reference, subject)
+        reference.flush()
+        kernel.flush()
+        assert_accountants_identical(reference, subject)
+        assert_not_demoted(kernel)
+
+
+class TestActiveTimeoutCliff:
+    """Calibrated traffic where the active timeout fires inside chunks.
+
+    The full hour crosses NetFlow's 30-minute active timeout; here a
+    60 s timeout makes five minutes cross it several times, at the
+    production chunk size and a smaller one.
+    """
+
+    TIMEOUTS = dict(idle_timeout_us=15_000_000, active_timeout_us=60_000_000)
+
+    @pytest.fixture(scope="class")
+    def kept(self, five_minute_trace):
+        return np.arange(len(five_minute_trace)) % 50 == 7
+
+    @pytest.fixture(scope="class")
+    def reference(self, five_minute_trace, kept):
+        reference = StreamFlowAccountant(**self.TIMEOUTS)
+        for i, (timestamp_us, size, key) in enumerate(
+            iter_flow_keys(five_minute_trace)
+        ):
+            reference.observe(timestamp_us, size, key, bool(kept[i]))
+        return reference
+
+    @pytest.mark.parametrize("chunk", [4096, 65536])
+    def test_matches_per_packet_without_demotion(
+        self, five_minute_trace, kept, reference, chunk
+    ):
+        assert reference.parent_table.exported[REASON_ACTIVE] > 0
+        assert reference.sampled_table.exported[REASON_ACTIVE] > 0
+        subject = StreamFlowAccountant(**self.TIMEOUTS)
+        kernel = FlowAccountantKernel(subject)
+        for start, stop in chunk_bounds(
+            len(five_minute_trace), [chunk] * (len(five_minute_trace) // chunk)
+        ):
+            kernel.observe_chunk(
+                five_minute_trace.slice_packets(start, stop), kept[start:stop]
+            )
+        assert_accountants_identical(reference, subject)
+        assert_not_demoted(kernel)
+
+
 class TestFastAggregateTrace:
     @pytest.mark.parametrize("chunk_packets", [1, 7, 1000, 10**9])
     def test_matches_reference(self, chunk_packets, tiny_trace):
@@ -198,19 +429,10 @@ class TestFastAggregateTrace:
 
 class TestAccountantKernel:
     def _run(self, trace: Trace, kept: np.ndarray, chunk: int):
-        reference = StreamFlowAccountant()
-        for i, (timestamp_us, size, key) in enumerate(iter_flow_keys(trace)):
-            reference.observe(timestamp_us, size, key, bool(kept[i]))
+        reference, subject, kernel = run_accountants(
+            trace, kept, [chunk] * (len(trace) // chunk)
+        )
         reference.flush()
-
-        subject = StreamFlowAccountant()
-        kernel = FlowAccountantKernel(subject)
-        for start in range(0, len(trace), chunk):
-            stop = start + chunk
-            kernel.observe_chunk(
-                trace.slice_packets(start, min(stop, len(trace))),
-                kept[start:stop],
-            )
         kernel.flush()
         return reference, subject
 
@@ -226,20 +448,30 @@ class TestAccountantKernel:
     def test_eventful_side_falls_back(self):
         trace = flow_trace(400, seed=7, gap_hi=300_000)
         kept = np.ones(len(trace), dtype=bool)
-        reference = StreamFlowAccountant(
-            idle_timeout_us=500_000, max_flows=8
+        reference, subject, kernel = run_accountants(
+            trace,
+            kept,
+            [64] * (len(trace) // 64),
+            idle_timeout_us=500_000,
+            max_flows=8,
         )
-        for i, (timestamp_us, size, key) in enumerate(iter_flow_keys(trace)):
-            reference.observe(timestamp_us, size, key, True)
-        subject = StreamFlowAccountant(idle_timeout_us=500_000, max_flows=8)
-        kernel = FlowAccountantKernel(subject)
-        for start in range(0, len(trace), 64):
-            kernel.observe_chunk(
-                trace.slice_packets(start, min(start + 64, len(trace))),
-                kept[start : start + 64],
-            )
         assert subject.parent() == reference.parent()
         assert subject.store.snapshot() == reference.store.snapshot()
+        assert kernel.demoted_packets["eviction"] > 0
+        assert kernel.demoted_packets["backwards_time"] == 0
+
+    def test_backwards_time_counts_demoted_chunk(self):
+        # A later chunk that starts before the previous one ended.
+        first = keyed_trace([(10, 0), (20, 1)])
+        second = keyed_trace([(15, 0), (30, 1), (40, 2)])
+        kernel = FlowAccountantKernel(StreamFlowAccountant())
+        kernel.observe_chunk(first, np.zeros(len(first), dtype=bool))
+        with pytest.raises(ValueError, match="time went backwards"):
+            kernel.observe_chunk(second, np.zeros(len(second), dtype=bool))
+        assert kernel.demoted_packets == {
+            "eviction": 0,
+            "backwards_time": len(second),
+        }
 
     def test_mask_shape_checked(self, tiny_trace):
         kernel = FlowAccountantKernel(StreamFlowAccountant())
