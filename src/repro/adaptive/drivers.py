@@ -1,4 +1,4 @@
-"""Drive a sampler under closed-loop control, per packet or per chunk.
+"""Drive a sampler under closed-loop control, per chunk.
 
 The loop the pieces make together::
 
@@ -11,12 +11,11 @@ The loop the pieces make together::
 The one ordering rule that makes the loop deterministic: **rate changes
 land exactly at window boundaries**.  Before a packet (or chunk
 segment) that starts a new quality window is offered, every due window
-closes — through the monitor's
-:meth:`~repro.obs.live.QualityMonitor.advance_to` tap per packet, or
-the chunk fold per segment — the controller judges each closed window,
-and any applied change re-keys the selector, so the first packet of a
-window is already sampled at that window's rate, in both execution
-paths.
+closes — through the chunk fold per segment, or the monitor's
+:meth:`~repro.obs.live.QualityMonitor.advance_to` tap in the
+per-packet reference — the controller judges each closed window, and
+any applied change re-keys the selector, so the first packet of a
+window is already sampled at that window's rate.
 
 Re-keying is each selector's own ``rekey`` method, which preserves its
 natural state across the change:
@@ -31,13 +30,14 @@ natural state across the change:
   the pending scheduled firing stands, so the firing grid bends
   without a discontinuity.
 
-Per packet and per chunk drive the same selector object: ``offer`` per
-packet, or ``keep_mask`` per window segment of a chunk through
-:func:`repro.fastpath.monitor.observe_chunk`, which closes due windows
-(and so re-keys) before it selects each segment.  Because the chunk
-algebra is exact within a window, the decision log and the keep/skip
-stream are bit-identical between the two, under any chunking — pinned
-by ``tests/adaptive``.
+Production runs fold chunks: ``keep_mask`` per window segment of a
+chunk through :func:`repro.fastpath.monitor.observe_chunk`, which
+closes due windows (and so re-keys) before it selects each segment.
+:meth:`AdaptivePipeline.offer` drives the same selector one packet at
+a time with ``offer``; it is the reference the chunk fold is tested
+against.  Because the chunk algebra is exact within a window, the
+decision log and the keep/skip stream are bit-identical between the
+two, under any chunking — pinned by ``tests/adaptive``.
 """
 
 from dataclasses import dataclass, field
@@ -53,6 +53,7 @@ from repro.core.sampling.streaming import (
     StreamingSystematic,
     StreamingTimerSystematic,
 )
+from repro.core.sampling.timer import TimerSystematicSampler
 from repro.fastpath.monitor import observe_chunk
 from repro.fastpath.pipeline import DEFAULT_CHUNK_PACKETS, iter_trace_chunks
 from repro.obs.live.monitor import QualityMonitor, WindowStats
@@ -293,7 +294,6 @@ def run_adaptive(
     method: str = "systematic",
     window_us: int = 30_000_000,
     min_scored: int = 10,
-    fastpath: bool = True,
     chunk_packets: int = DEFAULT_CHUNK_PACKETS,
     phase: int = 0,
     unit_period_us: float = 0.0,
@@ -304,18 +304,14 @@ def run_adaptive(
 ) -> AdaptiveRunResult:
     """One closed-loop pass over a trace; the library entry point.
 
-    ``fastpath`` switches between the chunked kernels and the
-    per-packet reference; the result — decisions, windows, keep
-    counts, store metrics — is bit-identical either way.  For
-    ``timer-systematic`` the unit period defaults to the trace's mean
-    interarrival, so granularity k means a period of k mean gaps.
+    The trace is folded chunk by chunk.  For ``timer-systematic`` a
+    ``unit_period_us`` of 0 means the trace's mean interarrival, so
+    granularity k means a period of k mean gaps.
     """
-    if method == "timer-systematic" and unit_period_us <= 0:
-        if len(trace) < 2:
-            raise ValueError(
-                "need at least two packets to derive a timer period"
-            )
-        unit_period_us = max(trace.duration_us / (len(trace) - 1), 1e-9)
+    if method == "timer-systematic" and unit_period_us == 0:
+        unit_period_us = TimerSystematicSampler.for_granularity(
+            trace, 1
+        ).period_us
     if monitor is None:
         monitor = QualityMonitor(window_us=window_us, min_scored=min_scored)
     windows: List[Dict[str, Any]] = []
@@ -329,21 +325,14 @@ def run_adaptive(
         method,
         controller,
         monitor,
-        fastpath=fastpath,
         phase=phase,
         unit_period_us=unit_period_us,
         obs=obs,
         on_window=collect,
         on_decision=on_decision,
     )
-    if fastpath:
-        for chunk in iter_trace_chunks(trace, chunk_packets):
-            pipeline.process_chunk(chunk)
-    else:
-        timestamps = trace.timestamps_us.tolist()
-        sizes = trace.sizes.tolist()
-        for timestamp, size in zip(timestamps, sizes):
-            pipeline.offer(int(timestamp), float(size))
+    for chunk in iter_trace_chunks(trace, chunk_packets):
+        pipeline.process_chunk(chunk)
     pipeline.flush()
     return AdaptiveRunResult(
         method=method,

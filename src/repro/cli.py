@@ -37,27 +37,23 @@ The subcommands (one bullet each, kept in lockstep with the parser by
   accuracy under a selected-packets/sec budget), or ``static`` (the
   baseline, for comparison) — emitting a decision trace and the
   windowed quality series; ``--run-dir`` records both as
-  ``events.jsonl`` + ``metrics.prom``, ``--csv`` saves the decision
-  log, and ``--fastpath`` again switches between bit-identical
-  chunked and per-packet execution;
+  ``events.jsonl`` + ``metrics.prom``, and ``--csv`` saves the
+  decision log;
 * ``monitor`` — stream a trace through an online sampler with the
   live quality monitor attached: windowed φ / χ² / cost per
   characterization target, threshold + hysteresis alert rules, a
   periodic console status line, OpenMetrics snapshots
   (``--metrics-out``) or a ``/metrics`` HTTP port (``--serve-port``),
   and an ``events.jsonl`` alert/heartbeat record under ``--run-dir``;
-  ``--fastpath {auto,on,off}`` picks between the chunked vectorized
-  pipeline (:mod:`repro.fastpath`, the default) and the per-packet
-  reference loop — both produce bit-identical decisions, windows, and
-  metrics;
 * ``cache`` — manage the on-disk columnar trace cache
   (:class:`repro.trace.store.TraceStore`): ``build`` decodes a capture
   once into memory-mapped column files, ``info`` prints the entry's
   manifest, ``verify`` rechecks the content digests, ``clear`` drops
   the trace's entry.
 
-The ``flows``, ``monitor``, and ``adapt`` subcommands accept
-``--fastpath``; every other subcommand is unaffected by it.  The
+The ``flows``, ``monitor``, and ``adapt`` subcommands run on the
+chunked vectorized kernels of :mod:`repro.fastpath`, which the test
+suite pins bit for bit to the per-packet reference loops.  The
 global ``--trace-cache DIR`` flag (or the ``REPRO_TRACE_CACHE``
 environment variable) points every subcommand that reads a pcap at the
 columnar cache: warm entries load as memory maps with no parsing, cold
@@ -392,6 +388,7 @@ def _monitor_selector(args: argparse.Namespace, trace):
         StreamingSystematic,
         StreamingTimerSystematic,
     )
+    from repro.core.sampling.timer import TimerSystematicSampler
 
     if args.method == "systematic":
         return StreamingSystematic(args.granularity, phase=args.phase)
@@ -400,10 +397,9 @@ def _monitor_selector(args: argparse.Namespace, trace):
         return StreamingStratified(args.granularity, rng=rng)
     period_us = args.period_us
     if not period_us:
-        if len(trace) < 2:
-            raise ValueError("need at least two packets to derive a timer period")
-        mean_iat = trace.duration_us / (len(trace) - 1)
-        period_us = max(mean_iat, 1e-9) * args.granularity
+        period_us = TimerSystematicSampler.for_granularity(
+            trace, args.granularity
+        ).period_us
     return StreamingTimerSystematic(period_us=period_us)
 
 
@@ -453,11 +449,12 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     )
 
     specs = args.rule if args.rule else list(DEFAULT_MONITOR_RULES)
+    obs = Instrumentation()
     try:
         rules = [AlertRule.from_spec(spec) for spec in specs]
-    except ValueError as error:
-        return _fail(str(error))
-    try:
+        engine = AlertEngine(
+            rules, obs=obs, heartbeat_every=args.heartbeat_every
+        )
         monitor = QualityMonitor(
             window_us=int(args.window * 1_000_000),
             min_scored=args.min_scored,
@@ -475,8 +472,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     except ValueError as error:
         return _fail(str(error))
 
-    obs = Instrumentation()
-    engine = AlertEngine(rules, obs=obs, heartbeat_every=args.heartbeat_every)
     exporter = TextfileExporter(args.metrics_out) if args.metrics_out else None
     server = None
     if args.serve_port is not None:
@@ -520,30 +515,12 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         if exporter is not None:
             exporter.export(monitor.store)
 
-    kernel = None
-    if args.fastpath != "off":
-        from repro.fastpath import chunk_kernel_for
+    from repro.fastpath import iter_trace_chunks, run_monitor
 
-        kernel = chunk_kernel_for(selector)
     try:
-        if kernel is not None:
-            from repro.fastpath import iter_trace_chunks, run_monitor
-
-            run_monitor(
-                iter_trace_chunks(trace),
-                kernel,
-                monitor,
-                on_window=handle_window,
-            )
-        else:
-            # The per-packet reference loop (--fastpath off): the
-            # executable semantics the fast path is pinned against.
-            timestamps = trace.timestamps_us.tolist()
-            sizes = trace.sizes.tolist()
-            for timestamp, size in zip(timestamps, sizes):
-                kept = selector.offer(timestamp)
-                for stats in monitor.observe(timestamp, float(size), kept):
-                    handle_window(stats)
+        run_monitor(
+            iter_trace_chunks(trace), selector, monitor, on_window=handle_window
+        )
         final = monitor.flush()
         if final is not None:
             handle_window(final)
@@ -670,7 +647,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             method=args.method,
             window_us=int(args.window * 1_000_000),
             min_scored=args.min_scored,
-            fastpath=args.fastpath != "off",
             phase=args.phase,
             unit_period_us=args.period_us,
             obs=obs,
@@ -778,11 +754,14 @@ def _cmd_netmon(args: argparse.Namespace) -> int:
     return 0
 
 
-def _flow_table_from_args(args: argparse.Namespace):
-    """A :class:`~repro.flows.table.FlowTable` from the flow flags."""
+def _flow_table_factory(args: argparse.Namespace):
+    """Makes an empty :class:`~repro.flows.table.FlowTable` per the flags."""
+    import functools
+
     from repro.flows.table import FlowTable
 
-    return FlowTable(
+    return functools.partial(
+        FlowTable,
         idle_timeout_us=int(args.idle_timeout * 1e6),
         active_timeout_us=int(args.active_timeout * 1e6),
         max_flows=args.max_flows,
@@ -799,26 +778,13 @@ def _write_csv(path: str, header: List[str], rows: List[List[object]]) -> None:
     print("saved %d rows to %s" % (len(rows), path))
 
 
-def _flows_aggregate(args: argparse.Namespace):
-    """The trace->records aggregation the flow flags select, or None.
-
-    Returns the chunked fast-path aggregation unless ``--fastpath off``;
-    None means the per-packet reference (:func:`aggregate_trace`).
-    """
-    if args.fastpath == "off":
-        return None
-    from repro.fastpath import fast_aggregate_trace
-
-    return fast_aggregate_trace
-
-
-def _flows_study(args: argparse.Namespace, trace):
+def _flows_study(args: argparse.Namespace, trace, table_factory):
     """Draw one sample and build the parent/sampled flow populations."""
     from repro.flows.sampled import flow_study
 
     rng = np.random.default_rng(args.seed)
     sampler = make_sampler(args.method, args.granularity, trace=trace, rng=rng)
-    return flow_study(trace, sampler, rng=rng, aggregate=_flows_aggregate(args))
+    return flow_study(trace, sampler, rng=rng, table_factory=table_factory)
 
 
 def _cmd_flows(args: argparse.Namespace) -> int:
@@ -832,18 +798,17 @@ def _cmd_flows(args: argparse.Namespace) -> int:
             "mode %r inverts 1-in-N sampling and needs --granularity >= 2"
             % args.mode
         )
+    table_factory = _flow_table_factory(args)
+    try:
+        table = table_factory()
+    except ValueError as error:
+        return _fail(str(error))
 
     if args.mode == "aggregate":
+        from repro.fastpath import fast_aggregate_trace
         from repro.flows.sampled import FlowSet
-        from repro.flows.table import aggregate_trace
 
-        table = _flow_table_from_args(args)
-        if args.fastpath != "off":
-            from repro.fastpath import fast_aggregate_trace
-
-            records = fast_aggregate_trace(trace, table=table)
-        else:
-            records = aggregate_trace(trace, table=table)
+        records = fast_aggregate_trace(trace, table=table)
         flows = FlowSet(records=tuple(records))
         stats = table.stats()
         print(
@@ -880,7 +845,7 @@ def _cmd_flows(args: argparse.Namespace) -> int:
             )
         return 0
 
-    study = _flows_study(args, trace)
+    study = _flows_study(args, trace, table_factory)
     if args.mode == "sample":
         summary = study.summary()
         print(
@@ -1287,13 +1252,6 @@ def build_parser() -> argparse.ArgumentParser:
         "updated flow is evicted",
     )
     flw.add_argument("--csv", default="", help="save the mode's table as CSV")
-    flw.add_argument(
-        "--fastpath",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="chunked vectorized flow accounting (auto/on) or the "
-        "per-packet reference loop (off); results are bit-identical",
-    )
     flw.set_defaults(func=_cmd_flows)
 
     fid = sub.add_parser(
@@ -1446,13 +1404,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for events.jsonl (decisions, windowed quality "
         "points) and the final metrics.prom",
     )
-    adp.add_argument(
-        "--fastpath",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="chunked vectorized pipeline (auto/on) or the per-packet "
-        "reference loop (off); decisions and metrics are bit-identical",
-    )
     adp.set_defaults(func=_cmd_adapt)
 
     live = sub.add_parser(
@@ -1541,14 +1492,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit with status 1 if any alert was raised (for CI-style "
         "sampling-design checks)",
-    )
-    live.add_argument(
-        "--fastpath",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="chunked vectorized pipeline (auto/on) or the per-packet "
-        "reference loop (off); windows, metrics, and events are "
-        "bit-identical",
     )
     live.set_defaults(func=_cmd_monitor)
 

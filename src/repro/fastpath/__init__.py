@@ -5,7 +5,9 @@ The per-packet modules — :mod:`repro.core.sampling.streaming`,
 :class:`repro.obs.live.QualityMonitor` — are the *executable reference
 semantics* of the forwarding-path monitor: one keep/skip decision, one
 flow-cache update, four histogram folds per packet, in pure Python.
-Faithful, but interpreter-bound at ~µs/packet.
+Faithful, but interpreter-bound at ~µs/packet, so their per-packet
+methods serve as test oracles and this package's kernels are the
+production path.
 
 This package re-expresses that pipeline over :class:`~repro.trace.Trace`
 *chunks* (the columnar numpy layout :func:`~repro.trace.pcap.iter_pcap`
@@ -24,7 +26,7 @@ already yields) as O(chunk) numpy kernels:
   the selector for each segment's keep mask, and bulk-update the
   :class:`~repro.obs.live.QualityMonitor` histograms;
 * :mod:`repro.fastpath.pipeline` — chunk iteration and the end-to-end
-  monitored run the CLI's ``--fastpath`` flag drives.
+  monitored run behind the CLI's ``monitor`` subcommand.
 
 The non-negotiable contract, pinned by ``tests/fastpath``: for every
 selector, chunk size, and chunk boundary placement, the fast path's

@@ -6,9 +6,9 @@ views, the same shape :func:`~repro.trace.pcap.iter_pcap` yields
 straight off disk), fold each chunk through the live quality monitor —
 which asks the selector for the keep mask one window segment at a
 time — and optionally feed the chunk's mask to a flow-accounting
-kernel.  ``repro-traffic monitor --fastpath`` and the ``flows``
-subcommand run on this path; ``--fastpath off`` keeps the per-packet
-loop as the executable reference.
+kernel.  ``repro-traffic monitor`` and ``flows`` run on this path;
+the per-packet loops stay as the executable reference the tests pin
+it to.
 """
 
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional

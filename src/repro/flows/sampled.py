@@ -15,7 +15,9 @@ Two entry points mirror the repo's batch/streaming split:
   :mod:`repro.core.sampling` — the sample is drawn first (exactly as
   the evaluation harness draws it, same RNG discipline), then parent
   and sampled traces are aggregated through separate
-  :class:`~repro.flows.table.FlowTable` instances;
+  :class:`~repro.flows.table.FlowTable` instances by the chunked
+  kernel (:func:`repro.fastpath.flows.fast_aggregate_trace`, pinned to
+  the per-packet :func:`~repro.flows.table.aggregate_trace`);
 * :class:`StreamFlowAccountant` rides beside a *streaming* selector:
   it sees each offered packet with the keep/skip decision already
   made, exactly like the live
@@ -36,7 +38,6 @@ from repro.flows.table import (
     FlowKey,
     FlowRecord,
     FlowTable,
-    aggregate_trace,
 )
 from repro.obs.instrument import Counter, Gauge
 from repro.obs.live.store import LiveMetricsStore
@@ -45,12 +46,6 @@ from repro.trace.trace import Trace
 #: One side of the accountant's hot path: the table, its record sink,
 #: and the pre-resolved metrics (occupancy, peak, exported, evicted).
 _Side = Tuple[FlowTable, List[FlowRecord], Gauge, Gauge, Counter, Counter]
-
-#: A trace-to-records aggregation: the seam the vectorized fast path
-#: (:func:`repro.fastpath.flows.fast_aggregate_trace`) plugs into.
-#: Must return the same records in the same order as
-#: :func:`~repro.flows.table.aggregate_trace` on a fresh default table.
-Aggregate = Callable[[Trace], List[FlowRecord]]
 
 #: Flow sizes (packets per flow) are compared over geometric bins —
 #: flow-size distributions are heavy-tailed, so equal-width bins would
@@ -107,29 +102,18 @@ class FlowSet:
         return bins.counts(self.sizes().astype(np.float64))
 
 
-def parent_flows(
-    trace: Trace,
-    table: Optional[FlowTable] = None,
-    aggregate: Optional[Aggregate] = None,
-) -> FlowSet:
-    """The ground-truth flow population of a trace.
+def parent_flows(trace: Trace, table: Optional[FlowTable] = None) -> FlowSet:
+    """The ground-truth flow population of a trace."""
+    # Imported here: repro.fastpath.flows imports this module.
+    from repro.fastpath.flows import fast_aggregate_trace
 
-    ``aggregate`` swaps the per-packet aggregation for an equivalent
-    one (the chunked fast path); it is mutually exclusive with
-    ``table`` since a custom aggregation brings its own.
-    """
-    if aggregate is not None:
-        if table is not None:
-            raise ValueError("pass either table or aggregate, not both")
-        return FlowSet(records=tuple(aggregate(trace)))
-    return FlowSet(records=tuple(aggregate_trace(trace, table=table)))
+    return FlowSet(records=tuple(fast_aggregate_trace(trace, table=table)))
 
 
 def sampled_flows(
     trace: Trace,
     result: SamplingResult,
     table: Optional[FlowTable] = None,
-    aggregate: Optional[Aggregate] = None,
 ) -> FlowSet:
     """The flow population a monitor sees through a drawn sample.
 
@@ -137,14 +121,7 @@ def sampled_flows(
     keep their parent values, so flow timeouts behave exactly as they
     would in a monitor receiving the thinned stream.
     """
-    sampled_trace = result.apply(trace)
-    if aggregate is not None:
-        if table is not None:
-            raise ValueError("pass either table or aggregate, not both")
-        return FlowSet(records=tuple(aggregate(sampled_trace)))
-    return FlowSet(
-        records=tuple(aggregate_trace(sampled_trace, table=table))
-    )
+    return parent_flows(result.apply(trace), table=table)
 
 
 @dataclass(frozen=True)
@@ -180,7 +157,7 @@ def flow_study(
     trace: Trace,
     sampler: Sampler,
     rng: Optional[np.random.Generator] = None,
-    aggregate: Optional[Aggregate] = None,
+    table_factory: Callable[[], FlowTable] = FlowTable,
 ) -> FlowStudy:
     """Draw one sample and aggregate both flow populations.
 
@@ -188,19 +165,22 @@ def flow_study(
     :meth:`~repro.core.sampling.base.Sampler.sample` path, so the
     selected indices are bit-identical to what the evaluation harness
     would draw from the same RNG — flow accounting is strictly
-    downstream of selection, and an ``aggregate`` override (the
-    vectorized fast path) cannot perturb the draw.
+    downstream of selection and cannot perturb the draw.
     """
     result = sampler.sample(trace, rng=rng)
-    return study_from_result(trace, result, aggregate=aggregate)
+    return study_from_result(trace, result, table_factory=table_factory)
 
 
 def study_from_result(
     trace: Trace,
     result: SamplingResult,
-    aggregate: Optional[Aggregate] = None,
+    table_factory: Callable[[], FlowTable] = FlowTable,
 ) -> FlowStudy:
-    """Aggregate both populations for an already-drawn sample."""
+    """Aggregate both populations for an already-drawn sample.
+
+    ``table_factory`` makes each side's empty flow cache, so both
+    populations are accounted under the same timeouts and capacity.
+    """
     granularity = float(result.parameters.get("granularity", 0.0))
     if granularity <= 0.0 and result.fraction > 0.0:
         granularity = 1.0 / result.fraction
@@ -208,8 +188,8 @@ def study_from_result(
         method=result.method,
         granularity=granularity,
         fraction=result.fraction,
-        parent=parent_flows(trace, aggregate=aggregate),
-        sampled=sampled_flows(trace, result, aggregate=aggregate),
+        parent=parent_flows(trace, table=table_factory()),
+        sampled=sampled_flows(trace, result, table=table_factory()),
     )
 
 
@@ -227,9 +207,7 @@ def shard_flow_summary(
     """
     if parent is None:
         parent = parent_flows(window)
-    sampled = FlowSet(
-        records=tuple(aggregate_trace(window.select(indices)))
-    )
+    sampled = parent_flows(window.select(indices))
     parent_keys = parent.keys()
     detected = (
         len(sampled.keys() & parent_keys) / len(parent_keys)

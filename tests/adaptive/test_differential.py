@@ -1,10 +1,11 @@
 """Differential battery: one control law, identical under every execution.
 
 The adaptive pipeline's contract is that execution strategy is
-invisible to the control loop: per-packet streaming vs chunked
-fast-path kernels, any chunk size, and interrupt/resume all produce
-bit-identical decision logs, keep counts, and window series.  These
-tests pin that contract for all three selector families.
+invisible to the control loop: the chunked fast-path kernels that
+production runs use, any chunk size, and interrupt/resume all produce
+decision logs, keep counts, and window series bit-identical to the
+per-packet reference (:meth:`AdaptivePipeline.offer`).  These tests
+pin that contract for all three selector families.
 """
 
 import pytest
@@ -13,10 +14,12 @@ from repro.adaptive import (
     AccuracyFirstPolicy,
     AdaptiveController,
     AdaptivePipeline,
+    AdaptiveRunResult,
     BudgetFirstPolicy,
     ControllerConfig,
     run_adaptive,
 )
+from repro.core.sampling.timer import TimerSystematicSampler
 from repro.fastpath.pipeline import iter_trace_chunks
 from repro.obs.live.monitor import QualityMonitor
 
@@ -36,7 +39,7 @@ def agile_config(**overrides):
     return ControllerConfig(**defaults)
 
 
-def adaptive_run(trace, method, *, fastpath, chunk_packets=65_536, policy=None):
+def adaptive_run(trace, method, *, chunk_packets=65_536, policy=None):
     controller = AdaptiveController(
         policy or AccuracyFirstPolicy(phi_tol=0.08), agile_config()
     )
@@ -46,9 +49,44 @@ def adaptive_run(trace, method, *, fastpath, chunk_packets=65_536, policy=None):
         method=method,
         window_us=WINDOW_US,
         min_scored=2,
-        fastpath=fastpath,
         chunk_packets=chunk_packets,
     )
+
+
+def per_packet_run(trace, method, *, policy=None):
+    """The oracle: :func:`adaptive_run` offered one packet at a time."""
+    controller = AdaptiveController(
+        policy or AccuracyFirstPolicy(phi_tol=0.08), agile_config()
+    )
+    monitor = QualityMonitor(window_us=WINDOW_US, min_scored=2)
+    windows = []
+    pipeline = AdaptivePipeline(
+        method,
+        controller,
+        monitor,
+        unit_period_us=unit_period(trace, method),
+        on_window=lambda stats: windows.append(stats.as_dict()),
+    )
+    for timestamp, size in zip(
+        trace.timestamps_us.tolist(), trace.sizes.tolist()
+    ):
+        pipeline.offer(int(timestamp), float(size))
+    pipeline.flush()
+    return AdaptiveRunResult(
+        method=method,
+        offered=pipeline.offered,
+        kept=pipeline.kept,
+        decisions=list(controller.decisions),
+        windows=windows,
+        controller=controller,
+        monitor=monitor,
+    )
+
+
+def unit_period(trace, method):
+    if method != "timer-systematic":
+        return 0.0
+    return TimerSystematicSampler.for_granularity(trace, 1).period_us
 
 
 def fingerprint(result):
@@ -64,8 +102,8 @@ def fingerprint(result):
 class TestFastpathIdentity:
     @pytest.mark.parametrize("method", METHODS)
     def test_fastpath_matches_per_packet(self, bursty_trace, method):
-        streamed = adaptive_run(bursty_trace, method, fastpath=False)
-        chunked = adaptive_run(bursty_trace, method, fastpath=True)
+        streamed = per_packet_run(bursty_trace, method)
+        chunked = adaptive_run(bursty_trace, method)
         # The run genuinely adapted — identity over a static run would
         # prove nothing about re-keying.
         assert streamed.rate_changes >= 3
@@ -73,8 +111,8 @@ class TestFastpathIdentity:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_store_metrics_match(self, bursty_trace, method):
-        streamed = adaptive_run(bursty_trace, method, fastpath=False)
-        chunked = adaptive_run(bursty_trace, method, fastpath=True)
+        streamed = per_packet_run(bursty_trace, method)
+        chunked = adaptive_run(bursty_trace, method)
         for name in (
             "adaptive_windows",
             "adaptive_rate_changes",
@@ -89,16 +127,14 @@ class TestFastpathIdentity:
             ), name
 
     def test_budget_policy_identical_too(self, bursty_trace):
-        streamed = adaptive_run(
+        streamed = per_packet_run(
             bursty_trace,
             "systematic",
-            fastpath=False,
             policy=BudgetFirstPolicy(budget_pps=12.0),
         )
         chunked = adaptive_run(
             bursty_trace,
             "systematic",
-            fastpath=True,
             policy=BudgetFirstPolicy(budget_pps=12.0),
         )
         assert streamed.rate_changes >= 2
@@ -111,9 +147,9 @@ class TestChunkingInvariance:
     def test_any_chunking_matches_reference(
         self, bursty_trace, method, chunk_packets
     ):
-        reference = adaptive_run(bursty_trace, method, fastpath=True)
+        reference = adaptive_run(bursty_trace, method)
         rechunked = adaptive_run(
-            bursty_trace, method, fastpath=True, chunk_packets=chunk_packets
+            bursty_trace, method, chunk_packets=chunk_packets
         )
         assert fingerprint(reference) == fingerprint(rechunked)
 
@@ -122,19 +158,17 @@ class TestResume:
     @pytest.mark.parametrize("method", ("systematic", "timer-systematic"))
     def test_controller_resume_mid_run(self, bursty_trace, method):
         """Snapshot/restore halfway through matches the unbroken run."""
-        uninterrupted = adaptive_run(bursty_trace, method, fastpath=True)
+        uninterrupted = adaptive_run(bursty_trace, method)
 
         controller = AdaptiveController(
             AccuracyFirstPolicy(phi_tol=0.08), agile_config()
         )
         monitor = QualityMonitor(window_us=WINDOW_US, min_scored=2)
-        unit_period = bursty_trace.duration_us / (len(bursty_trace) - 1)
         pipeline = AdaptivePipeline(
             method,
             controller,
             monitor,
-            fastpath=True,
-            unit_period_us=unit_period if method == "timer-systematic" else 0.0,
+            unit_period_us=unit_period(bursty_trace, method),
         )
         chunks = list(iter_trace_chunks(bursty_trace, 8192))
         half = len(chunks) // 2
@@ -163,7 +197,7 @@ class TestResume:
 
 class TestRunShape:
     def test_result_accounting(self, bursty_trace):
-        result = adaptive_run(bursty_trace, "systematic", fastpath=True)
+        result = adaptive_run(bursty_trace, "systematic")
         assert result.offered == len(bursty_trace)
         assert 0 < result.kept < result.offered
         assert result.sampled_fraction == result.kept / result.offered
@@ -174,7 +208,7 @@ class TestRunShape:
         assert len(used) >= 2 and used[0] == 64
 
     def test_decisions_line_up_with_windows(self, bursty_trace):
-        result = adaptive_run(bursty_trace, "systematic", fastpath=True)
+        result = adaptive_run(bursty_trace, "systematic")
         for decision, window in zip(result.decisions, result.windows):
             assert decision.window == window["window"]
             assert decision.offered == window["offered"]

@@ -17,7 +17,7 @@ from repro.flows.sampled import (
     shard_flow_summary,
     study_from_result,
 )
-from repro.flows.table import aggregate_trace, iter_flow_keys
+from repro.flows.table import FlowTable, aggregate_trace, iter_flow_keys
 from repro.obs.live.store import LiveMetricsStore
 
 
@@ -99,6 +99,100 @@ class TestSampledFlows:
             "parent_mean_packets",
             "sampled_mean_packets",
         }
+
+
+#: Flow caches outside the default regime: a short active timeout
+#: restarts long flows; a tiny cache evicts in LRU order.
+TABLE_CONFIGS = {
+    "active-restarts": dict(
+        idle_timeout_us=2_000_000, active_timeout_us=3_000_000
+    ),
+    "lru-eviction": dict(
+        idle_timeout_us=200_000, active_timeout_us=1_000_000, max_flows=16
+    ),
+}
+
+
+class TestKernelMatchesOracle:
+    """Every population comes from the chunk kernel; the per-packet
+    :func:`aggregate_trace` is the oracle, records and table stats."""
+
+    @pytest.fixture(params=sorted(TABLE_CONFIGS))
+    def config(self, request):
+        return TABLE_CONFIGS[request.param]
+
+    @staticmethod
+    def oracle(trace, config):
+        table = FlowTable(**config)
+        return tuple(aggregate_trace(trace, table=table)), table.stats()
+
+    def test_parent_flows(self, minute_trace, config):
+        table = FlowTable(**config)
+        records = parent_flows(minute_trace, table=table).records
+        expected, expected_stats = self.oracle(minute_trace, config)
+        assert records == expected
+        assert table.stats() == expected_stats
+        regime = (
+            "exported_evicted" if "max_flows" in config else "exported_active"
+        )
+        assert expected_stats[regime] > 0
+
+    def test_sampled_flows(self, minute_trace, config):
+        result = make_sampler("systematic", granularity=4).sample(minute_trace)
+        table = FlowTable(**config)
+        records = sampled_flows(minute_trace, result, table=table).records
+        expected, expected_stats = self.oracle(
+            result.apply(minute_trace), config
+        )
+        assert records == expected
+        assert table.stats() == expected_stats
+
+    def test_flow_study(self, minute_trace, config):
+        tables = []
+
+        def table_factory():
+            tables.append(FlowTable(**config))
+            return tables[-1]
+
+        study = flow_study(
+            minute_trace,
+            make_sampler("stratified", granularity=8),
+            rng=np.random.default_rng(3),
+            table_factory=table_factory,
+        )
+        result = make_sampler("stratified", granularity=8).sample(
+            minute_trace, rng=np.random.default_rng(3)
+        )
+        parent, parent_stats = self.oracle(minute_trace, config)
+        sampled, sampled_stats = self.oracle(
+            result.apply(minute_trace), config
+        )
+        assert study.parent.records == parent
+        assert study.sampled.records == sampled
+        assert [table.stats() for table in tables] == [
+            parent_stats,
+            sampled_stats,
+        ]
+
+    def test_shard_flow_summary(self, minute_trace):
+        result = make_sampler("systematic", granularity=50).sample(
+            minute_trace
+        )
+        parent = FlowSet(records=tuple(aggregate_trace(minute_trace)))
+        sampled = FlowSet(
+            records=tuple(
+                aggregate_trace(minute_trace.select(result.indices))
+            )
+        )
+        summary = shard_flow_summary(minute_trace, result.indices)
+        assert summary["parent_flows"] == len(parent)
+        assert summary["sampled_flows"] == len(sampled)
+        assert summary["parent_mean_packets"] == round(parent.mean_size(), 6)
+        assert summary["sampled_mean_packets"] == round(
+            sampled.mean_size(), 6
+        )
+        detected = len(sampled.keys() & parent.keys()) / len(parent.keys())
+        assert summary["detected_fraction"] == round(detected, 6)
 
 
 class TestStreamFlowAccountant:

@@ -1,5 +1,8 @@
 """Command-line interface."""
 
+import csv
+import io
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -42,6 +45,49 @@ class TestErrorPaths:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["monitor", "x"], ["flows", "x", "aggregate"], ["adapt", "x"]],
+        ids=["monitor", "flows", "adapt"],
+    )
+    def test_fastpath_flag_is_gone(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--fastpath", "off"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["flows", "{trace}", "sample", "--max-flows", "0"],
+                "max_flows must be >= 1, got 0",
+            ),
+            (
+                ["flows", "{trace}", "aggregate", "--idle-timeout", "-1"],
+                "idle timeout must be positive, got -1000000",
+            ),
+            (
+                [
+                    "flows", "{trace}", "compare", "--granularity", "10",
+                    "--idle-timeout", "20", "--active-timeout", "10",
+                ],
+                "active timeout (10000000) must be >= idle timeout "
+                "(20000000)",
+            ),
+            (
+                ["monitor", "{trace}", "--heartbeat-every", "-1"],
+                "heartbeat_every must be >= 0",
+            ),
+        ],
+        ids=["max-flows", "idle-timeout", "active-below-idle", "heartbeat"],
+    )
+    def test_bad_flags_fail_cleanly(self, tmp_path, capsys, argv, message):
+        trace_path = str(tmp_path / "t.pcap")
+        main(["generate", trace_path, "--duration", "5", "--seed", "5"])
+        capsys.readouterr()
+        argv = [arg.format(trace=trace_path) for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
 
 
 class TestCommands:
@@ -392,6 +438,27 @@ class TestFlowsCommand:
         assert "sampled:" in out
         assert "detected fraction" in out
 
+    def test_flows_sample_honours_flow_cache_flags(self, tmp_path, capsys):
+        trace_path = str(tmp_path / "t.pcap")
+        main(["generate", trace_path, "--duration", "10", "--seed", "5"])
+        capsys.readouterr()
+        argv = ["flows", trace_path, "sample", "--granularity", "10"]
+        outputs = []
+        for extra in ([], ["--idle-timeout", "0.5", "--active-timeout", "1"]):
+            assert main(argv + extra) == 0
+            outputs.append(
+                [
+                    line
+                    for line in capsys.readouterr().out.splitlines()
+                    if "flows, mean" in line
+                ]
+            )
+        default, short = outputs
+        assert len(default) == len(short) == 2
+        # Shorter timeouts split flows: more records on both sides.
+        for line_default, line_short in zip(default, short):
+            assert int(line_short.split()[1]) > int(line_default.split()[1])
+
     def test_flows_compare_scores_both_estimators(self, tmp_path, capsys):
         trace_path = str(tmp_path / "t.pcap")
         csv_path = tmp_path / "scores.csv"
@@ -441,7 +508,6 @@ class TestAdaptCommand:
         assert args.objective == "accuracy"
         assert args.initial_granularity == 64
         assert args.cooldown == 2
-        assert args.fastpath == "auto"
 
     def test_adapt_objective_choices(self):
         with pytest.raises(SystemExit):
@@ -497,24 +563,61 @@ class TestAdaptCommand:
         assert "adaptive_granularity" in metrics
 
     def test_adapt_fastpath_toggle_is_invisible(self, tmp_path, capsys):
+        """The chunked decision log equals a per-packet ``offer`` run's."""
+        from repro.adaptive import (
+            AccuracyFirstPolicy,
+            AdaptiveController,
+            AdaptivePipeline,
+            ControllerConfig,
+        )
+        from repro.obs.live import QualityMonitor
+        from repro.trace.pcap import read_pcap
+
         trace_path = str(tmp_path / "t.pcap")
+        csv_path = tmp_path / "decisions.csv"
         main(["generate", trace_path, "--duration", "120", "--seed", "5"])
         capsys.readouterr()
-        outputs = []
-        for fastpath in ("on", "off"):
-            assert (
-                main(
-                    [
-                        "adapt", trace_path,
-                        "--window", "10",
-                        "--min-scored", "2",
-                        "--fastpath", fastpath,
-                    ]
-                )
-                == 0
+        assert (
+            main(
+                [
+                    "adapt", trace_path,
+                    "--window", "10",
+                    "--min-scored", "2",
+                    "--csv", str(csv_path),
+                ]
             )
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+            == 0
+        )
+        capsys.readouterr()
+
+        trace = read_pcap(trace_path)
+        controller = AdaptiveController(
+            AccuracyFirstPolicy(phi_tol=0.05, p_floor=0.01),
+            ControllerConfig(),
+        )
+        pipeline = AdaptivePipeline(
+            "systematic",
+            controller,
+            QualityMonitor(window_us=10_000_000, min_scored=2),
+        )
+        for timestamp, size in zip(
+            trace.timestamps_us.tolist(), trace.sizes.tolist()
+        ):
+            pipeline.offer(timestamp, float(size))
+        pipeline.flush()
+        rows = list(csv.reader(io.StringIO(csv_path.read_text())))[1:]
+        assert len(rows) == len(controller.decisions) >= 2
+        assert rows == [
+            [
+                str(value)
+                for value in (
+                    d.window, d.start_us, d.end_us, d.offered, d.sampled,
+                    d.policy, d.proposed, d.applied, d.granularity_before,
+                    d.granularity_after, d.reason,
+                )
+            ]
+            for d in controller.decisions
+        ]
 
     def test_adapt_budget_objective_needs_budget(self, tmp_path, capsys):
         trace_path = str(tmp_path / "t.pcap")
@@ -553,6 +656,16 @@ class TestAdaptCommand:
                 "error: phase must be in [0, 64), got %s\n" % phase
             )
             assert "done:" not in captured.out
+
+    def test_adapt_rejects_negative_timer_period(self, tmp_path, capsys):
+        trace_path = str(tmp_path / "t.pcap")
+        main(["generate", trace_path, "--duration", "5", "--seed", "5"])
+        capsys.readouterr()
+        argv = ["adapt", trace_path, "--method", "timer-systematic"]
+        assert main(argv + ["--period-us", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert "positive" in captured.err
+        assert "done:" not in captured.out
 
     def test_adapt_missing_trace_fails_cleanly(self, tmp_path, capsys):
         assert main(["adapt", str(tmp_path / "nope.pcap")]) == 2
