@@ -13,8 +13,9 @@ import pytest
 from repro.core.evaluation.comparison import population_proportions, score_sample
 from repro.core.evaluation.targets import PACKET_SIZE_TARGET
 from repro.core.sampling.factory import make_sampler
-from repro.netmon.arts import ArtsCollector
+from repro.netmon.collector import T3_SAMPLING_GRANULARITY, Collector
 from repro.netmon.node import BackboneNode
+from repro.netmon.objects import t3_object_set
 from repro.workload.generator import TraceGenerator
 
 
@@ -63,7 +64,12 @@ def test_perf_netmon_minute(benchmark, hour_trace):
     window = hour_trace.slice_packets(0, 30_000)
 
     def run():
-        node = BackboneNode("perf", ArtsCollector())
+        node = BackboneNode(
+            "perf",
+            Collector(
+                2000, granularity=T3_SAMPLING_GRANULARITY, objects=t3_object_set()
+            ),
+        )
         node.process_trace(window)
         return node
 

@@ -6,7 +6,7 @@ their headline counters.  The benchmark measures full-object-set
 update throughput (the per-packet cost that motivated sampling).
 """
 
-from repro.netmon.nnstat import NNStatCollector
+from repro.netmon.collector import Collector
 from repro.netmon.node import BackboneNode
 from repro.netmon.objects import t1_object_set, t3_object_set
 from repro.trace.filters import prefix_interval
@@ -28,7 +28,7 @@ def test_table1_object_catalog(benchmark, hour_trace, emit):
 
     def run():
         node = BackboneNode(
-            "t1-nss", NNStatCollector(capacity_pps=10**9, objects=t1_object_set())
+            "t1-nss", Collector(10**9, objects=t1_object_set())
         )
         node.process_trace(window)
         return node

@@ -43,13 +43,13 @@ def main() -> None:
         % (
             node.name,
             node.snmp_total_packets(),
-            node.characterized_packets,
+            node.collector.examined_packets,
             node.granularity,
         )
     )
 
     sampled_ports = next(
-        obj for obj in node.objects if isinstance(obj, PortDistribution)
+        obj for obj in node.collector.objects if isinstance(obj, PortDistribution)
     )
     sampled_counts = sampled_ports.snapshot()["packets"]
     sampled_total = sum(sampled_counts.values())

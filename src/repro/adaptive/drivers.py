@@ -372,7 +372,8 @@ class T3BudgetDriver:
         """Feed one second through the node, then adapt."""
         self.node.process_second(traffic)
         offered = self.node.snmp_total_packets()
-        selected = self.node.characterized_packets + self.node.dropped_packets
+        collector = self.node.collector
+        selected = collector.examined_packets + collector.dropped_packets
         start_us = self._seconds * 1_000_000
         stats = WindowStats(
             index=self._seconds,

@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.evaluation.targets import CharacterizationTarget
 from repro.core.metrics.phi import phi_coefficient
 from repro.core.sampling.base import SamplingResult
+from repro.trace.filters import tile_boundaries
 from repro.trace.trace import Trace
 
 
@@ -69,17 +70,16 @@ def fidelity_series(
     if n == 0:
         return []
     origin = int(trace.timestamps_us[0])
-    horizon = int(trace.timestamps_us[-1])
+    (bounds,) = tile_boundaries([trace], origin, window_us)
     values = target.attribute_values(trace)
     selected_mask = np.zeros(n, dtype=bool)
     selected_mask[result.indices] = True
 
     points: List[FidelityPoint] = []
-    start = origin
-    while start <= horizon:
+    for i in range(len(bounds) - 1):
+        start = origin + i * window_us
         end = start + window_us
-        lo = int(np.searchsorted(trace.timestamps_us, start, side="left"))
-        hi = int(np.searchsorted(trace.timestamps_us, end, side="left"))
+        lo, hi = int(bounds[i]), int(bounds[i + 1])
         window_values = values[lo:hi]
         window_mask = selected_mask[lo:hi]
         defined = ~np.isnan(window_values)
@@ -105,7 +105,6 @@ def fidelity_series(
                 phi=phi,
             )
         )
-        start = end
     return points
 
 

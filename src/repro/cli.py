@@ -75,7 +75,7 @@ from repro.core.evaluation.report import format_series_table
 from repro.core.evaluation.targets import PAPER_TARGETS
 from repro.core.sampling.factory import METHOD_NAMES, make_sampler
 from repro.stats.describe import describe
-from repro.trace.pcap import read_pcap, write_pcap
+from repro.trace.pcap import PcapError, read_pcap, write_pcap
 from repro.trace.series import per_second_series
 from repro.trace.trace import Trace
 from repro.workload.generator import nsfnet_hour_trace
@@ -93,6 +93,22 @@ def _trace_cache_dir(args: Optional[argparse.Namespace]) -> Optional[str]:
     return explicit or os.environ.get("REPRO_TRACE_CACHE") or None
 
 
+class _CliError(Exception):
+    """An operational error :func:`main` reports in one line (exit 2)."""
+
+
+def _read_trace(read, path: str) -> Trace:
+    """``read(path)``, with an unreadable capture raised as :class:`_CliError`."""
+    try:
+        return read(path)
+    except FileNotFoundError:
+        raise _CliError("trace file not found: %s" % path)
+    except IsADirectoryError:
+        raise _CliError("%s is a directory, not a pcap file" % path)
+    except PcapError as error:
+        raise _CliError("unreadable trace %s: %s" % (path, error))
+
+
 def _load_trace(
     path: str,
     args: Optional[argparse.Namespace] = None,
@@ -105,8 +121,8 @@ def _load_trace(
         from repro.trace.store import TraceStore
 
         store = TraceStore(cache_dir) if obs is None else TraceStore(cache_dir, obs=obs)
-        return store.load_or_build(path)
-    return read_pcap(path)
+        return _read_trace(store.load_or_build, path)
+    return _read_trace(read_pcap, path)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -356,31 +372,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return _fail("cannot read %s: %s" % (args.run_dir, error))
 
 
-def _load_trace_or_fail(
-    path: str,
-    args: Optional[argparse.Namespace] = None,
-    obs=None,
-):
-    """A trace, or ``None`` after printing a one-line error (exit 2)."""
-    from repro.trace.pcap import PcapError
-
-    try:
-        trace = _load_trace(path, args, obs=obs)
-    except FileNotFoundError:
-        _fail("trace file not found: %s" % path)
-        return None
-    except IsADirectoryError:
-        _fail("%s is a directory, not a pcap file" % path)
-        return None
-    except PcapError as error:
-        _fail("unreadable trace %s: %s" % (path, error))
-        return None
-    if not len(trace):
-        _fail("trace %s is empty — nothing to monitor" % path)
-        return None
-    return trace
-
-
 def _monitor_selector(args: argparse.Namespace, trace):
     """The streaming keep/skip selector for the monitor subcommand."""
     from repro.core.sampling.streaming import (
@@ -464,9 +455,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     # The monitor's live store is the cache's counter sink, so
     # trace_cache_hit/miss/bytes ride the same exposition as the
     # sampling-quality metrics.
-    trace = _load_trace_or_fail(args.trace, args, obs=monitor.store)
-    if trace is None:
-        return 2
+    trace = _load_trace(args.trace, args, obs=monitor.store)
+    if not len(trace):
+        return _fail("trace %s is empty — nothing to monitor" % args.trace)
     try:
         selector = _monitor_selector(args, trace)
     except ValueError as error:
@@ -580,9 +571,9 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     from repro.obs import EVENTS_FILENAME, Instrumentation, write_events
     from repro.obs.live import render_live_metrics
 
-    trace = _load_trace_or_fail(args.trace, args)
-    if trace is None:
-        return 2
+    trace = _load_trace(args.trace, args)
+    if not len(trace):
+        return _fail("trace %s is empty — nothing to monitor" % args.trace)
     try:
         policy = _adapt_policy(args)
         config = ControllerConfig(
@@ -726,16 +717,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_netmon(args: argparse.Namespace) -> int:
-    from repro.netmon.nnstat import NNStatCollector
+    from repro.netmon.collector import Collector
     from repro.netmon.node import BackboneNode
 
     trace = _load_trace(args.trace, args)
     node = BackboneNode(
         "node",
-        NNStatCollector(
-            capacity_pps=args.capacity,
-            sampling_granularity=args.granularity,
-        ),
+        Collector(args.capacity, granularity=args.granularity),
     )
     node.process_trace(trace)
     snmp = node.interface.packets
@@ -788,9 +776,9 @@ def _flows_study(args: argparse.Namespace, trace, table_factory):
 
 
 def _cmd_flows(args: argparse.Namespace) -> int:
-    trace = _load_trace_or_fail(args.trace, args)
-    if trace is None:
-        return 2
+    trace = _load_trace(args.trace, args)
+    if not len(trace):
+        return _fail("trace %s is empty — nothing to monitor" % args.trace)
     if args.granularity < 1:
         return _fail("granularity must be >= 1, got %d" % args.granularity)
     if args.mode in ("invert", "compare") and args.granularity < 2:
@@ -984,7 +972,6 @@ def _cmd_flows(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.trace.pcap import PcapError
     from repro.trace.store import TraceStore
 
     cache_dir = _trace_cache_dir(args)
@@ -1000,14 +987,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     store = TraceStore(cache_dir)
 
     if args.action == "build":
-        try:
-            trace = store.build(args.trace)
-        except FileNotFoundError:
-            return _fail("trace file not found: %s" % args.trace)
-        except IsADirectoryError:
-            return _fail("%s is a directory, not a pcap file" % args.trace)
-        except PcapError as error:
-            return _fail("unreadable trace %s: %s" % (args.trace, error))
+        trace = _read_trace(store.build, args.trace)
         print(
             "built cache entry for %s: %d packets at %s"
             % (args.trace, len(trace), store.entry_dir(args.trace))
@@ -1519,6 +1499,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _CliError as error:
+        return _fail(str(error))
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly the way
         # well-behaved Unix tools do.

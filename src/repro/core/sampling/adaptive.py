@@ -21,6 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.trace.filters import tile_boundaries
 from repro.trace.trace import Trace
 
 _US_PER_S = 1_000_000
@@ -103,12 +104,10 @@ class AdaptiveSystematic:
                 weights=np.empty(0, dtype=np.float64),
                 granularities=(),
             )
-        rel = trace.timestamps_us - trace.timestamps_us[0]
-        interval_us = self.adaptation_interval_s * _US_PER_S
-        interval_of = rel // interval_us
-        n_intervals = int(interval_of[-1]) + 1
-        boundaries = np.searchsorted(
-            interval_of, np.arange(n_intervals + 1), side="left"
+        (bounds,) = tile_boundaries(
+            [trace],
+            int(trace.timestamps_us[0]),
+            self.adaptation_interval_s * _US_PER_S,
         )
 
         indices: List[np.ndarray] = []
@@ -116,8 +115,7 @@ class AdaptiveSystematic:
         granularities: List[int] = []
         k = self.initial_granularity
         phase = 0
-        for i in range(n_intervals):
-            start, stop = int(boundaries[i]), int(boundaries[i + 1])
+        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             count = stop - start
             picked = np.arange(start + phase, stop, k, dtype=np.int64)
             indices.append(picked)

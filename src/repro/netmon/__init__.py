@@ -12,12 +12,14 @@ environment, driven by the same traces the sampling study uses:
 
 * :mod:`repro.netmon.objects` — the statistical objects of Table 1;
 * :mod:`repro.netmon.snmp` — forwarding-path interface counters;
-* :mod:`repro.netmon.nnstat` — a dedicated collector with finite
-  per-second categorization capacity that drops under overload;
-* :mod:`repro.netmon.arts` — in-firmware 1-in-N selection feeding a
-  central characterization process, with scale-up estimation;
+* :mod:`repro.netmon.collector` — the one capacity-limited collector
+  of both backbones: optional in-firmware 1-in-N selection, a finite
+  per-second examination budget that drops under overload, and
+  scale-up estimation (NNStat on T1, ARTS on T3);
 * :mod:`repro.netmon.node` — a backbone node wiring counters and a
   collector to an interface;
+* :mod:`repro.netmon.t3node` — a T3 node whose parallel interface
+  subsystems feed one collector on the main CPU;
 * :mod:`repro.netmon.noc` — the central agent polling nodes every
   fifteen minutes and accumulating report series.
 """
@@ -35,8 +37,7 @@ from repro.netmon.objects import (
     t3_object_set,
 )
 from repro.netmon.snmp import InterfaceCounters
-from repro.netmon.nnstat import NNStatCollector
-from repro.netmon.arts import ArtsCollector
+from repro.netmon.collector import Collector
 from repro.netmon.node import BackboneNode
 from repro.netmon.t3node import T3Interface, T3Node
 from repro.netmon.noc import CollectionAgent, PollRecord
@@ -56,8 +57,7 @@ __all__ = [
     "t1_object_set",
     "t3_object_set",
     "InterfaceCounters",
-    "NNStatCollector",
-    "ArtsCollector",
+    "Collector",
     "BackboneNode",
     "T3Interface",
     "T3Node",

@@ -13,7 +13,7 @@ configurable load schedule; the Figure 1 benchmark and the
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.netmon.nnstat import NNStatCollector
+from repro.netmon.collector import Collector
 from repro.netmon.node import BackboneNode
 from repro.workload.generator import TraceGenerator
 from repro.workload.rates import RateProcess
@@ -86,9 +86,9 @@ def simulate_collection_history(
         ).generate()
         node = BackboneNode(
             "t1-nss",
-            NNStatCollector(
-                capacity_pps=collector_capacity_pps,
-                sampling_granularity=sampling_granularity if sampled else 1,
+            Collector(
+                collector_capacity_pps,
+                granularity=sampling_granularity if sampled else 1,
             ),
         )
         node.process_trace(trace)

@@ -12,7 +12,7 @@ from typing import Any, Dict, List
 
 from repro.netmon.node import BackboneNode
 from repro.obs.instrument import NULL_OBS
-from repro.trace.filters import time_window
+from repro.trace.filters import tile_boundaries
 from repro.trace.trace import Trace
 
 #: The operational NOC polling period.
@@ -64,18 +64,20 @@ class CollectionAgent:
         unknown = set(traffic) - {n.name for n in self.nodes}
         if unknown:
             raise ValueError("traffic for unknown nodes: %s" % sorted(unknown))
-        horizon_us = max(
-            (int(t.timestamps_us[-1]) + 1 for t in traffic.values() if len(t)),
-            default=0,
+        period_us = self.poll_period_s * 1_000_000
+        bounds = dict(
+            zip(traffic, tile_boundaries(list(traffic.values()), 0, period_us))
         )
-        n_cycles = -(-horizon_us // (self.poll_period_s * 1_000_000))
-        for cycle in range(int(n_cycles)):
-            start = cycle * self.poll_period_s * 1_000_000
-            stop = start + self.poll_period_s * 1_000_000
+        n_cycles = max((len(b) - 1 for b in bounds.values()), default=0)
+        for cycle in range(n_cycles):
             for node in self.nodes:
-                trace = traffic.get(node.name)
-                if trace is not None:
-                    node.process_trace(time_window(trace, start, stop))
+                b = bounds.get(node.name)
+                if b is not None:
+                    node.process_trace(
+                        traffic[node.name].slice_packets(
+                            int(b[cycle]), int(b[cycle + 1])
+                        )
+                    )
                 snapshot = node.snapshot()
                 self.records.append(
                     PollRecord(cycle=cycle, node=node.name, snapshot=snapshot)

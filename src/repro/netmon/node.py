@@ -3,23 +3,17 @@
 :class:`BackboneNode` feeds a trace through the node one second at a
 time: every packet increments the SNMP interface counters (forwarding
 path, lossless), and the same second's batch is offered to the
-attached collector (NNStat- or ARTS-style), which may lose packets to
-its capacity limits.  This is the machinery behind the Figure 1
-discrepancy experiment.
+attached :class:`~repro.netmon.collector.Collector`, which may lose
+packets to its capacity limit.  This is the machinery behind the
+Figure 1 discrepancy experiment.
 """
 
-from typing import Union
-
-import numpy as np
-
-from repro.netmon.arts import ArtsCollector
-from repro.netmon.nnstat import NNStatCollector
+from repro.netmon.collector import Collector
 from repro.netmon.snmp import InterfaceCounters
+from repro.trace.filters import tile_boundaries
 from repro.trace.trace import Trace
 
 _US_PER_S = 1_000_000
-
-Collector = Union[NNStatCollector, ArtsCollector]
 
 
 class BackboneNode:
@@ -31,18 +25,17 @@ class BackboneNode:
         self.interface = InterfaceCounters()
 
     def process_trace(self, trace: Trace) -> None:
-        """Forward a trace through the node, second by second."""
+        """Forward a trace through the node, second by second.
+
+        Seconds are anchored at the trace's first packet.
+        """
         if not len(trace):
             return
-        rel = trace.timestamps_us - trace.timestamps_us[0]
-        seconds = rel // _US_PER_S
-        n_seconds = int(seconds[-1]) + 1
-        boundaries = np.searchsorted(
-            seconds, np.arange(n_seconds + 1), side="left"
+        (bounds,) = tile_boundaries(
+            [trace], int(trace.timestamps_us[0]), _US_PER_S
         )
-        for s in range(n_seconds):
-            batch = trace.slice_packets(int(boundaries[s]), int(boundaries[s + 1]))
-            self.process_second(batch)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            self.process_second(trace.slice_packets(int(lo), int(hi)))
 
     def process_second(self, batch: Trace) -> None:
         """Forward one second's packets: SNMP always, collector maybe."""

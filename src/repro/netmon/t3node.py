@@ -10,18 +10,21 @@ the RS/6000 processor in parallel."  (Section 2)
 
 :class:`T3Node` models exactly that: per-interface SNMP counters and
 firmware 1-in-N selectors, whose selected streams are time-merged and
-offered to a single capacity-limited characterization CPU.
+offered to a single capacity-limited characterization CPU: a
+:class:`~repro.netmon.collector.Collector` at granularity 1, since the
+subsystems have already selected.
 """
 
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
-from repro.netmon.arts import Subsystem, T3_SAMPLING_GRANULARITY
+from repro.netmon.collector import Collector, Subsystem, T3_SAMPLING_GRANULARITY
 from repro.netmon.objects import StatisticalObject, t3_object_set
 from repro.netmon.snmp import InterfaceCounters
 from repro.obs.instrument import NULL_OBS
+from repro.trace.filters import tile_boundaries
 from repro.trace.trace import Trace
+
+_US_PER_S = 1_000_000
 
 
 class T3Interface:
@@ -75,18 +78,16 @@ class T3Node:
             raise ValueError("a node needs at least one interface")
         if len(set(interfaces)) != len(interfaces):
             raise ValueError("interface names must be unique")
-        if cpu_capacity_pps < 1:
-            raise ValueError("CPU capacity must be at least 1 packet/s")
         self.name = name
         self.granularity = granularity
-        self.cpu_capacity_pps = cpu_capacity_pps
         self.interfaces: Dict[str, T3Interface] = {
             iface: T3Interface(iface, granularity) for iface in interfaces
         }
-        self.objects = objects if objects is not None else t3_object_set()
+        self.collector = Collector(
+            cpu_capacity_pps,
+            objects=objects if objects is not None else t3_object_set(),
+        )
         self.obs = obs
-        self.characterized_packets = 0
-        self.dropped_packets = 0
         self.ht_estimated_packets = 0.0
 
     def process_second(self, traffic: Dict[str, Trace]) -> None:
@@ -104,48 +105,32 @@ class T3Node:
             for iface, batch in traffic.items()
         ]
         merged = Trace.merge(selected)
-        characterized = merged
-        if len(merged) > self.cpu_capacity_pps:
-            characterized = merged.slice_packets(0, self.cpu_capacity_pps)
-            dropped = len(merged) - self.cpu_capacity_pps
-            self.dropped_packets += dropped
+        characterized = len(self.collector.process_second(merged))
+        dropped = len(merged) - characterized
+        if dropped:
             self.obs.counter("t3_cpu_dropped_packets").inc(dropped)
         self.obs.counter("t3_cpu_offered_packets").inc(len(merged))
-        self.obs.counter("t3_characterized_packets").inc(len(characterized))
+        self.obs.counter("t3_characterized_packets").inc(characterized)
         self.obs.gauge("t3_cpu_offered_pps_max").high(len(merged))
         self.obs.gauge("t3_sampling_granularity").set(self.granularity)
-        self.characterized_packets += len(characterized)
         # Horvitz-Thompson: each second's characterized packets carry
         # the inverse of the selection probability in force *now*, so
         # the total stays unbiased when the granularity is re-keyed
         # mid-run (repro.adaptive.T3BudgetDriver).
-        self.ht_estimated_packets += len(characterized) * self.granularity
-        for obj in self.objects:
-            obj.observe(characterized)
+        self.ht_estimated_packets += characterized * self.granularity
 
     def process_traces(self, traffic: Dict[str, Trace]) -> None:
-        """Run whole traces through the node, second-aligned."""
+        """Run whole traces through the node, seconds anchored at 0."""
         if not traffic:
             return
-        horizon_us = max(
-            (int(t.timestamps_us[-1]) + 1 for t in traffic.values() if len(t)),
-            default=0,
-        )
-        n_seconds = -(-horizon_us // 1_000_000)
-        boundaries = {}
-        for iface, trace in traffic.items():
-            seconds = trace.timestamps_us // 1_000_000
-            boundaries[iface] = np.searchsorted(
-                seconds, np.arange(n_seconds + 1), side="left"
+        bounds = tile_boundaries(list(traffic.values()), 0, _US_PER_S)
+        for s in range(len(bounds[0]) - 1):
+            self.process_second(
+                {
+                    iface: trace.slice_packets(int(b[s]), int(b[s + 1]))
+                    for (iface, trace), b in zip(traffic.items(), bounds)
+                }
             )
-        for s in range(int(n_seconds)):
-            batches = {
-                iface: trace.slice_packets(
-                    int(boundaries[iface][s]), int(boundaries[iface][s + 1])
-                )
-                for iface, trace in traffic.items()
-            }
-            self.process_second(batches)
 
     def set_granularity(self, granularity: int) -> None:
         """Re-key every subsystem's firmware selector to 1-in-k.
@@ -168,31 +153,26 @@ class T3Node:
         Exact only while the granularity never changed; after adaptive
         re-keying use :meth:`horvitz_thompson_total`.
         """
-        return self.characterized_packets * self.granularity
+        return self.collector.examined_packets * self.granularity
 
     def horvitz_thompson_total(self) -> float:
         """Unbiased packet-total estimate across granularity changes."""
         return self.ht_estimated_packets
 
     def snapshot(self) -> Dict:
-        """Per-interface counters, pipeline health, object snapshots."""
+        """Per-interface counters and the CPU collector's snapshot."""
         return {
             "node": self.name,
             "interfaces": {
                 name: iface.counters.snapshot()
                 for name, iface in self.interfaces.items()
             },
-            "characterized_packets": self.characterized_packets,
-            "dropped_packets": self.dropped_packets,
-            "objects": {obj.name: obj.snapshot() for obj in self.objects},
+            "collector": self.collector.snapshot(),
         }
 
     def reset(self) -> None:
-        """Poll-cycle reset of counters, health, and objects."""
+        """Poll-cycle reset of counters, collector, and estimate."""
         for iface in self.interfaces.values():
             iface.counters.reset()
-        self.characterized_packets = 0
-        self.dropped_packets = 0
+        self.collector.reset()
         self.ht_estimated_packets = 0.0
-        for obj in self.objects:
-            obj.reset()

@@ -6,7 +6,7 @@ increasing time windows relative to the beginning of the hour-long
 trace).  These helpers carve such windows out of a parent trace.
 """
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -27,6 +27,25 @@ def time_window(trace: Trace, start_us: int, stop_us: int) -> Trace:
     lo = int(np.searchsorted(trace.timestamps_us, start_us, side="left"))
     hi = int(np.searchsorted(trace.timestamps_us, stop_us, side="left"))
     return trace.slice_packets(lo, hi)
+
+
+def tile_boundaries(
+    traces: Sequence[Trace], origin_us: int, width_us: int
+) -> List[np.ndarray]:
+    """Boundary indices of consecutive ``width_us`` tiles from ``origin_us``.
+
+    Tile ``i`` covers ``origin_us + i * width_us`` up to, not including,
+    the next tile's start; tiles run through the one holding the latest
+    packet of any trace.  For each trace the result ``b`` has one more
+    entry than there are tiles, and ``b[i]:b[i + 1]`` are its packets in
+    tile ``i`` — the same ``side="left"`` rule as :func:`time_window`.
+    """
+    last_us = max(
+        (int(t.timestamps_us[-1]) for t in traces if len(t)), default=None
+    )
+    n_tiles = 0 if last_us is None else (last_us - origin_us) // width_us + 1
+    edges = origin_us + width_us * np.arange(n_tiles + 1, dtype=np.int64)
+    return [np.searchsorted(t.timestamps_us, edges, side="left") for t in traces]
 
 
 def prefix_interval(trace: Trace, length_us: int) -> Trace:

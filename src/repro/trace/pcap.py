@@ -29,15 +29,17 @@ import numpy as np
 
 from repro.obs.instrument import NULL_OBS
 from repro.trace.packet import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP
-from repro.trace.store import FastpathUnsupported, encode_trace, iter_decoded_columns
+from repro.trace.store import (
+    LINKTYPE_RAW,
+    PCAP_MAGIC,
+    FastpathUnsupported,
+    _ColumnTuple,
+    _GLOBAL_HEADER,
+    encode_trace,
+    iter_decoded_columns,
+)
 from repro.trace.trace import Trace
 
-#: Classic libpcap magic for microsecond-resolution timestamps.
-PCAP_MAGIC = 0xA1B2C3D4
-#: DLT_RAW: packets begin directly with the IPv4 header.
-LINKTYPE_RAW = 101
-
-_GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _GLOBAL_HEADER_BE = struct.Struct(">IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
 _RECORD_HEADER_BE = struct.Struct(">IIII")
@@ -271,10 +273,6 @@ def _iter_records(stream: BinaryIO, record_hdr: struct.Struct) -> Iterator[_Reco
             dst_port,
         )
 
-
-_ColumnTuple = Tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
-]
 
 _COLUMN_NAMES = (
     "timestamps_us",

@@ -43,6 +43,8 @@ from repro.trace.trace import Trace
 __all__ = [
     "DEFAULT_BLOCK_BYTES",
     "FastpathUnsupported",
+    "LINKTYPE_RAW",
+    "PCAP_MAGIC",
     "TraceStore",
     "encode_trace",
     "iter_decoded_columns",
@@ -64,10 +66,11 @@ _MIN_RECORD = 36
 #: falls back to the reference loop instead.
 _MAX_CAND_DIV = 12
 
-# Wire constants mirroring repro.trace.pcap (kept local to avoid an
-# import cycle; the byte-identity tests pin the two in agreement).
-_PCAP_MAGIC = 0xA1B2C3D4
-_LINKTYPE_RAW = 101
+#: Classic libpcap magic for microsecond-resolution timestamps.
+PCAP_MAGIC = 0xA1B2C3D4
+#: DLT_RAW: packets begin directly with the IPv4 header.
+LINKTYPE_RAW = 101
+
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 
 _ColumnTuple = Tuple[
@@ -397,7 +400,7 @@ def encode_trace(trace: Trace, snaplen: int) -> Optional[bytes]:
     total = 24 + int(rec.sum())
     out = np.zeros(total, dtype=np.uint8)
     out[:24] = np.frombuffer(
-        _GLOBAL_HEADER.pack(_PCAP_MAGIC, 2, 4, 0, 0, snaplen, _LINKTYPE_RAW),
+        _GLOBAL_HEADER.pack(PCAP_MAGIC, 2, 4, 0, 0, snaplen, LINKTYPE_RAW),
         dtype=np.uint8,
     )
     if not n:

@@ -1,12 +1,19 @@
-"""NNStat and ARTS collectors: capacity, sampling, estimation."""
+"""The collector in its NNStat and ARTS configurations: capacity,
+sampling, estimation."""
 
 import numpy as np
 import pytest
 
-from repro.netmon.arts import ArtsCollector, Subsystem
-from repro.netmon.nnstat import NNStatCollector
+from repro.netmon.collector import T3_SAMPLING_GRANULARITY, Collector, Subsystem
+from repro.netmon.objects import t3_object_set
 from repro.netmon.snmp import InterfaceCounters
+from repro.netmon.t3node import T3Node
 from repro.trace.trace import Trace
+
+
+def arts_collector(granularity=T3_SAMPLING_GRANULARITY, capacity_pps=2000):
+    """The ARTS configuration: 1-in-50 firmware select, T3 objects."""
+    return Collector(capacity_pps, granularity=granularity, objects=t3_object_set())
 
 
 def second_of_packets(n, size=100):
@@ -32,32 +39,32 @@ class TestInterfaceCounters:
 
 class TestNNStatCollector:
     def test_under_capacity_examines_all(self):
-        collector = NNStatCollector(capacity_pps=500)
+        collector = Collector(500)
         collector.process_second(second_of_packets(300))
         assert collector.examined_packets == 300
         assert collector.dropped_packets == 0
 
     def test_over_capacity_drops_excess(self):
-        collector = NNStatCollector(capacity_pps=500)
+        collector = Collector(500)
         collector.process_second(second_of_packets(800))
         assert collector.examined_packets == 500
         assert collector.dropped_packets == 300
 
     def test_objects_see_only_examined(self):
-        collector = NNStatCollector(capacity_pps=100)
+        collector = Collector(100)
         collector.process_second(second_of_packets(400))
         matrix = collector.objects[0]
         assert matrix.total_packets() == 100
 
     def test_sampling_reduces_offered_load(self):
-        collector = NNStatCollector(capacity_pps=100, sampling_granularity=50)
+        collector = Collector(100, granularity=50)
         collector.process_second(second_of_packets(4000))
         assert collector.examined_packets == 80
         assert collector.dropped_packets == 0
 
     def test_sampling_phase_continuity(self):
         """Every 50th packet overall, across second boundaries."""
-        collector = NNStatCollector(capacity_pps=10_000, sampling_granularity=50)
+        collector = Collector(10_000, granularity=50)
         collector.process_second(second_of_packets(75))
         collector.process_second(second_of_packets(75))
         # Packets 0, 50 from the first batch; global packet 100 is
@@ -65,12 +72,12 @@ class TestNNStatCollector:
         assert collector.examined_packets == 3
 
     def test_estimated_total(self):
-        collector = NNStatCollector(capacity_pps=10_000, sampling_granularity=50)
+        collector = Collector(10_000, granularity=50)
         collector.process_second(second_of_packets(5000))
         assert collector.estimated_total_packets() == 5000
 
     def test_reset(self):
-        collector = NNStatCollector(capacity_pps=100)
+        collector = Collector(100)
         collector.process_second(second_of_packets(400))
         collector.reset()
         assert collector.examined_packets == 0
@@ -79,9 +86,9 @@ class TestNNStatCollector:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NNStatCollector(capacity_pps=0)
+            Collector(0)
         with pytest.raises(ValueError):
-            NNStatCollector(capacity_pps=10, sampling_granularity=0)
+            Collector(10, granularity=0)
 
 
 class TestSubsystem:
@@ -109,42 +116,42 @@ class TestSubsystem:
 
 class TestArtsCollector:
     def test_default_granularity_is_fifty(self):
-        assert ArtsCollector().granularity == 50
+        assert arts_collector().granularity == 50
 
     def test_characterizes_selected_packets(self):
-        collector = ArtsCollector(granularity=50, cpu_capacity_pps=2000)
+        collector = arts_collector(granularity=50, capacity_pps=2000)
         collector.process_second(second_of_packets(5000))
-        assert collector.characterized_packets == 100
+        assert collector.examined_packets == 100
         assert collector.dropped_packets == 0
 
     def test_cpu_capacity_limits(self):
-        collector = ArtsCollector(granularity=2, cpu_capacity_pps=100)
+        collector = arts_collector(granularity=2, capacity_pps=100)
         collector.process_second(second_of_packets(1000))
-        assert collector.characterized_packets == 100
+        assert collector.examined_packets == 100
         assert collector.dropped_packets == 400
 
     def test_estimated_total(self):
-        collector = ArtsCollector(granularity=50, cpu_capacity_pps=2000)
+        collector = arts_collector(granularity=50, capacity_pps=2000)
         collector.process_second(second_of_packets(5000))
         assert collector.estimated_total_packets() == 5000
 
     def test_t3_objects_by_default(self):
-        names = [o.name for o in ArtsCollector().objects]
+        names = [o.name for o in T3Node("enss").collector.objects]
         assert names == ["net-matrix", "port-distribution", "protocol-distribution"]
 
     def test_snapshot_structure(self):
-        collector = ArtsCollector()
+        collector = arts_collector()
         collector.process_second(second_of_packets(500))
         snap = collector.snapshot()
         assert snap["granularity"] == 50
         assert "net-matrix" in snap["objects"]
 
     def test_reset(self):
-        collector = ArtsCollector()
+        collector = arts_collector()
         collector.process_second(second_of_packets(500))
         collector.reset()
-        assert collector.characterized_packets == 0
+        assert collector.examined_packets == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ArtsCollector(cpu_capacity_pps=0)
+            arts_collector(capacity_pps=0)

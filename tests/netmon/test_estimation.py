@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.netmon.arts import ArtsCollector
+from repro.netmon.collector import Collector
 from repro.netmon.estimation import aligned_counts, object_phi, scale_up_counts
-from repro.netmon.objects import PortDistribution, ProtocolDistribution
+from repro.netmon.objects import PortDistribution, ProtocolDistribution, t3_object_set
 
 
 class TestScaleUp:
@@ -68,7 +68,7 @@ class TestEndToEnd:
     def test_sampled_protocol_object_faithful(self, minute_trace):
         full_obj = ProtocolDistribution()
         full_obj.observe(minute_trace)
-        collector = ArtsCollector(granularity=50, cpu_capacity_pps=10_000)
+        collector = Collector(10_000, granularity=50, objects=t3_object_set())
         import numpy as np
 
         # Feed the minute in one big "second" (capacity is ample).
@@ -84,7 +84,7 @@ class TestEndToEnd:
     def test_scaled_port_volumes_accurate(self, minute_trace):
         full_obj = PortDistribution()
         full_obj.observe(minute_trace)
-        collector = ArtsCollector(granularity=50, cpu_capacity_pps=10**9)
+        collector = Collector(10**9, granularity=50, objects=t3_object_set())
         collector.process_second(minute_trace)
         sampled_obj = next(
             o for o in collector.objects if isinstance(o, PortDistribution)

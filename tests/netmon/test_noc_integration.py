@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.netmon.arts import ArtsCollector
-from repro.netmon.nnstat import NNStatCollector
+from repro.netmon.collector import Collector
 from repro.netmon.node import BackboneNode
 from repro.netmon.noc import CollectionAgent
+from repro.netmon.objects import t3_object_set
 
 
 @pytest.fixture(scope="module")
@@ -15,10 +15,10 @@ def noc_run(request):
     polled on a one-minute cycle."""
     trace = request.getfixturevalue("five_minute_trace")
     nodes = [
-        BackboneNode("t3-enss", ArtsCollector(granularity=50)),
         BackboneNode(
-            "t1-nss", NNStatCollector(capacity_pps=300, sampling_granularity=1)
+            "t3-enss", Collector(2000, granularity=50, objects=t3_object_set())
         ),
+        BackboneNode("t1-nss", Collector(300, granularity=1)),
     ]
     agent = CollectionAgent(nodes, poll_period_s=60)
     records = agent.run({"t3-enss": trace, "t1-nss": trace})
@@ -46,9 +46,7 @@ class TestMultiCycleCollection:
         ]
         assert len(full_cycles) == 5
         for record in full_cycles:
-            characterized = record.snapshot["collector"][
-                "characterized_packets"
-            ]
+            characterized = record.snapshot["collector"]["examined_packets"]
             estimate = characterized * 50
             assert estimate == pytest.approx(record.snmp_packets, rel=0.03)
 
@@ -75,7 +73,7 @@ class TestMultiCycleCollection:
             )
             assert (
                 matrix_pkts
-                == record.snapshot["collector"]["characterized_packets"]
+                == record.snapshot["collector"]["examined_packets"]
             )
 
     def test_port_mix_stable_across_cycles(self, noc_run):

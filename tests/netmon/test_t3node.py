@@ -52,7 +52,7 @@ class TestT3Node:
             }
         )
         assert node.snmp_total_packets() == 180
-        assert node.characterized_packets == 10 + 5 + 3
+        assert node.collector.examined_packets == 10 + 5 + 3
 
     def test_estimated_total(self):
         node = T3Node("enss", granularity=10, cpu_capacity_pps=10_000)
@@ -64,8 +64,8 @@ class TestT3Node:
         node.process_second(
             {"t3": second_of_packets(100), "ethernet": second_of_packets(100)}
         )
-        assert node.characterized_packets == 60
-        assert node.dropped_packets == 40
+        assert node.collector.examined_packets == 60
+        assert node.collector.dropped_packets == 40
 
     def test_subsystem_phase_continuity(self):
         node = T3Node("enss", interfaces=("t3",), granularity=50,
@@ -74,7 +74,7 @@ class TestT3Node:
             node.process_second(
                 {"t3": second_of_packets(75, start_us=s * 1_000_000)}
             )
-        assert node.characterized_packets == 6  # 300 / 50
+        assert node.collector.examined_packets == 6  # 300 / 50
 
     def test_process_traces_equivalent_to_seconds(self):
         whole = Trace(
@@ -85,7 +85,7 @@ class TestT3Node:
                         cpu_capacity_pps=10_000)
         node_a.process_traces({"t3": whole})
         assert node_a.snmp_total_packets() == 300
-        assert node_a.characterized_packets == 30
+        assert node_a.collector.examined_packets == 30
 
     def test_unknown_interface_rejected(self):
         node = T3Node("enss", interfaces=("t3",))
@@ -101,10 +101,10 @@ class TestT3Node:
         snap = node.snapshot()
         assert snap["interfaces"]["t3"]["packets"] == 100
         assert snap["interfaces"]["fddi"]["packets"] == 50
-        assert "net-matrix" in snap["objects"]
+        assert "net-matrix" in snap["collector"]["objects"]
         node.reset()
         assert node.snmp_total_packets() == 0
-        assert node.characterized_packets == 0
+        assert node.collector.examined_packets == 0
 
     def test_missing_interface_traffic_allowed(self):
         node = T3Node("enss", interfaces=("t3", "fddi"))

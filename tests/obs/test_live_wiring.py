@@ -5,13 +5,15 @@ import io
 import numpy as np
 import pytest
 
-from repro.netmon.nnstat import NNStatCollector
+from repro.netmon.collector import Collector
 from repro.netmon.noc import CollectionAgent
 from repro.netmon.node import BackboneNode
+from repro.netmon.objects import t3_object_set
 from repro.netmon.t3node import T3Node
 from repro.obs import Instrumentation
 from repro.trace.pcap import iter_pcap, write_pcap
 from repro.trace.trace import Trace
+from repro.workload.generator import nsfnet_hour_trace
 
 
 def steady_trace(n=4000, iat_us=500, size=100):
@@ -24,7 +26,7 @@ def steady_trace(n=4000, iat_us=500, size=100):
 class TestCollectionAgentTelemetry:
     def overloaded_run(self, obs):
         # 2000 pps offered against a 500 pps collector: drops guaranteed.
-        node = BackboneNode("ann", NNStatCollector(capacity_pps=500))
+        node = BackboneNode("ann", Collector(500))
         agent = CollectionAgent([node], poll_period_s=1, obs=obs)
         return agent.run({"ann": steady_trace()})
 
@@ -55,7 +57,7 @@ class TestCollectionAgentTelemetry:
     def test_silent_by_default(self, capsys):
         """Without an obs the agent runs exactly as before: no sink, no cost."""
         plain = CollectionAgent(
-            [BackboneNode("ann", NNStatCollector(capacity_pps=500))],
+            [BackboneNode("ann", Collector(500))],
             poll_period_s=1,
         )
         observed_records = self.overloaded_run(Instrumentation())
@@ -65,6 +67,35 @@ class TestCollectionAgentTelemetry:
             assert mine.snmp_packets == theirs.snmp_packets
             for key in ("examined_packets", "dropped_packets"):
                 assert mine.snapshot["collector"][key] == theirs.snapshot["collector"][key]
+
+    @pytest.mark.parametrize(
+        "collector, examined, dropped, drop_rate",
+        [
+            (lambda: Collector(300), [17970, 17981, 1], [7393, 8726, 0], 0.0),
+            # The last poll offers nothing, so the gauge keeps the second's.
+            (
+                lambda: Collector(5, granularity=50, objects=t3_object_set()),
+                [300, 300, 0],
+                [208, 234, 0],
+                234 / 534,
+            ),
+        ],
+        ids=["nnstat", "arts"],
+    )
+    def test_examined_counts_for_every_collector_style(
+        self, collector, examined, dropped, drop_rate
+    ):
+        obs = Instrumentation()
+        agent = CollectionAgent(
+            [BackboneNode("n", collector())], poll_period_s=60, obs=obs
+        )
+        agent.run({"n": nsfnet_hour_trace(duration_s=120)})
+
+        polls = [e for e in obs.events if e["kind"] == "poll"]
+        assert [e["examined"] for e in polls] == examined
+        assert [e["dropped"] for e in polls] == dropped
+        assert obs.counter("netmon_examined_packets").value == sum(examined)
+        assert obs.gauge("netmon_drop_rate").value == pytest.approx(drop_rate)
 
 
 class TestT3NodeTelemetry:
@@ -84,7 +115,7 @@ class TestT3NodeTelemetry:
         dropped = obs.counter("t3_cpu_dropped_packets").value
         assert offered == 1000  # granularity 1: everything reaches the CPU
         assert characterized + dropped == offered
-        assert dropped == node.dropped_packets > 0
+        assert dropped == node.collector.dropped_packets > 0
         # 500us IAT for 1000 packets: everything lands in one second.
         assert obs.gauge("t3_cpu_offered_pps_max").value == 1000
 
@@ -96,8 +127,7 @@ class TestT3NodeTelemetry:
         )
         plain.process_traces({"t3": trace})
         observed.process_traces({"t3": trace})
-        assert plain.characterized_packets == observed.characterized_packets
-        assert plain.dropped_packets == observed.dropped_packets
+        assert plain.collector.snapshot() == observed.collector.snapshot()
 
 
 class TestIterPcapTelemetry:

@@ -23,18 +23,50 @@ class TestParser:
             build_parser().parse_args(["sample", "x", "--method", "bogus"])
 
 
+def _bad_trace(tmp_path, kind):
+    """A trace path that cannot be read, and the error it must print."""
+    if kind == "missing":
+        path = tmp_path / "missing.pcap"
+        return str(path), "error: trace file not found: %s" % path
+    if kind == "directory":
+        return str(tmp_path), "error: %s is a directory, not a pcap file" % tmp_path
+    path = tmp_path / "garbage.pcap"
+    path.write_bytes(b"this is not a pcap file at all, sorry......")
+    return str(path), "error: unreadable trace %s: " % path
+
+
 class TestErrorPaths:
-    def test_missing_pcap_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["describe", str(tmp_path / "missing.pcap")])
+    def test_missing_pcap_file(self, tmp_path, capsys):
+        path, message = _bad_trace(tmp_path, "missing")
+        assert main(["describe", path]) == 2
+        assert capsys.readouterr().err.strip() == message
 
-    def test_garbage_pcap_file(self, tmp_path):
-        from repro.trace.pcap import PcapError
+    def test_garbage_pcap_file(self, tmp_path, capsys):
+        path, message = _bad_trace(tmp_path, "garbage")
+        assert main(["sample", path]) == 2
+        assert capsys.readouterr().err.startswith(message)
 
-        path = tmp_path / "garbage.pcap"
-        path.write_bytes(b"this is not a pcap file at all, sorry......")
-        with pytest.raises(PcapError):
-            main(["sample", str(path)])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "garbage"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "describe",
+            "validate",
+            "sample",
+            "samplesize",
+            "netmon",
+            "fidelity",
+            "experiment",
+            "reproduce",
+        ],
+    )
+    def test_unreadable_trace_fails_cleanly(self, tmp_path, capsys, command, kind):
+        path, message = _bad_trace(tmp_path, kind)
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_bad_granularity_type(self):
         with pytest.raises(SystemExit):

@@ -62,3 +62,81 @@ class TestScoringGolden:
         result = sampler.sample(golden_trace)
         iat = score_sample(golden_trace, result, INTERARRIVAL_TARGET)
         assert iat.phi == pytest.approx(0.74517530, abs=1e-6)
+
+
+class TestCollectionGolden:
+    """Exact Section 2 collection counts: NNStat, ARTS and the T3 CPU."""
+
+    def test_figure1_history(self):
+        from repro.netmon.figure1 import simulate_collection_history
+
+        months = simulate_collection_history(
+            (150, 250, 400, 600, 800, 1000, 1000, 1100),
+            collector_capacity_pps=500,
+            sampling_deployed_at=5,
+        )
+        assert [(m.snmp_packets, m.categorized_packets) for m in months] == [
+            (8862, 8862),
+            (13168, 13168),
+            (23028, 22961),
+            (34530, 29338),
+            (46538, 29997),
+            (60529, 60550),
+            (60999, 61000),
+            (71571, 71600),
+        ]
+
+    def test_noc_polls_of_both_collector_styles(self):
+        from repro.netmon.collector import Collector
+        from repro.netmon.noc import CollectionAgent
+        from repro.netmon.node import BackboneNode
+        from repro.netmon.objects import t3_object_set
+
+        trace = nsfnet_hour_trace(seed=424, duration_s=150)
+        agent = CollectionAgent(
+            [
+                BackboneNode("t1", Collector(300)),
+                BackboneNode(
+                    "t3", Collector(5, granularity=50, objects=t3_object_set())
+                ),
+            ],
+            poll_period_s=60,
+        )
+        records = agent.run({"t1": trace, "t3": trace})
+        polls = [
+            (
+                r.cycle,
+                r.node,
+                r.snapshot["collector"]["examined_packets"],
+                r.snapshot["collector"]["dropped_packets"],
+            )
+            for r in records
+        ]
+        assert polls == [
+            (0, "t1", 17938, 9123),
+            (0, "t3", 300, 242),
+            (1, "t1", 17930, 8977),
+            (1, "t3", 300, 238),
+            (2, "t1", 8952, 4005),
+            (2, "t3", 150, 109),
+        ]
+
+    def test_t3_node_totals_across_a_rekey(self):
+        from repro.netmon.t3node import T3Node
+        from repro.trace.filters import time_window
+
+        traffic = {
+            name: nsfnet_hour_trace(seed=seed, duration_s=60)
+            for seed, name in enumerate(("t3", "ethernet", "fddi"), start=1)
+        }
+        node = T3Node("enss", granularity=50, cpu_capacity_pps=30)
+        node.process_traces(
+            {k: time_window(t, 0, 30_000_000) for k, t in traffic.items()}
+        )
+        node.set_granularity(20)
+        node.process_traces(
+            {k: time_window(t, 30_000_000, 60_000_000) for k, t in traffic.items()}
+        )
+        assert node.collector.examined_packets == 1658
+        assert node.collector.dropped_packets == 1019
+        assert node.horvitz_thompson_total() == 55900.0
