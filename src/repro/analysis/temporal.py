@@ -16,8 +16,8 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.evaluation.targets import CharacterizationTarget
-from repro.core.metrics.phi import phi_coefficient
 from repro.core.sampling.base import SamplingResult
+from repro.obs.live.monitor import score_window
 from repro.trace.filters import tile_boundaries
 from repro.trace.trace import Trace
 
@@ -59,8 +59,14 @@ def fidelity_series(
         Window length; windows tile the trace without overlap,
         anchored at the first packet.
     min_sampled:
-        Windows with fewer selected attribute values than this score
-        ``phi=None`` (flagged unusable rather than wildly noisy).
+        Windows with fewer population or selected attribute values than
+        this score ``phi=None`` (flagged unusable rather than wildly
+        noisy).
+
+    Each window is scored by the online monitor's
+    :func:`~repro.obs.live.monitor.score_window` over the window's
+    parent and sampled bin counts, so a window whose values all fall in
+    one bin scores ``phi=0.0``, exactly as the monitor reports it.
     """
     if window_us <= 0:
         raise ValueError("window length must be positive")
@@ -85,17 +91,11 @@ def fidelity_series(
         defined = ~np.isnan(window_values)
         population_values = window_values[defined]
         sampled_values = window_values[defined & window_mask]
-        phi: Optional[float] = None
-        if (
-            population_values.size >= min_sampled
-            and sampled_values.size >= min_sampled
-        ):
-            proportions = target.bins.proportions(population_values)
-            observed = target.bins.counts(sampled_values)
-            support = proportions > 0
-            if np.any(support):
-                props = proportions[support] / proportions[support].sum()
-                phi = phi_coefficient(observed[support], props)
+        phi, _, _ = score_window(
+            target.bins.counts(population_values),
+            target.bins.counts(sampled_values),
+            min_sampled,
+        )
         points.append(
             FidelityPoint(
                 start_us=start,

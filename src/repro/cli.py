@@ -65,7 +65,7 @@ Installed as ``repro-traffic`` (see pyproject).
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -756,7 +756,9 @@ def _flow_table_factory(args: argparse.Namespace):
     )
 
 
-def _write_csv(path: str, header: List[str], rows: List[List[object]]) -> None:
+def _write_csv(
+    path: str, header: List[str], rows: Sequence[Sequence[object]]
+) -> None:
     import csv
 
     with open(path, "w", newline="") as stream:
@@ -796,12 +798,11 @@ def _cmd_flows(args: argparse.Namespace) -> int:
         from repro.fastpath import fast_aggregate_trace
         from repro.flows.sampled import FlowSet
 
-        records = fast_aggregate_trace(trace, table=table)
-        flows = FlowSet(records=tuple(records))
+        flows = FlowSet(columns=fast_aggregate_trace(trace, table=table))
         stats = table.stats()
         print(
             "%d packets -> %d flow records (%d distinct 5-tuples)"
-            % (len(trace), len(records), len(flows.keys()))
+            % (len(trace), len(flows), len(flows.keys()))
         )
         print(
             "  mean %.2f packets/flow, peak cache occupancy %d, "
@@ -822,14 +823,7 @@ def _cmd_flows(args: argparse.Namespace) -> int:
                     "protocol", "packets", "bytes", "first_us",
                     "last_us", "reason",
                 ],
-                [
-                    [
-                        r.src_net, r.dst_net, r.src_port, r.dst_port,
-                        r.protocol, r.packets, r.bytes, r.first_us,
-                        r.last_us, r.reason,
-                    ]
-                    for r in records
-                ],
+                flows.columns.rows(),
             )
         return 0
 

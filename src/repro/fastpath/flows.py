@@ -23,7 +23,9 @@ timeouts, LRU emergency eviction — all order-dependent.  Vectorizing it
   ``(trigger arrival, idle-before-active, last_us, update sequence)``.
   The kernel therefore computes, in O(chunk) numpy plus O(sub-flows)
   python: per-key segmentation (one ``argsort``/``reduceat`` pass),
-  the export records in reference order, the occupancy trajectory
+  the exports as one column block in reference order (one gather of
+  the sub-flows' keys and counters, one small array for closed live
+  entries, one ``lexsort`` permutation), the occupancy trajectory
   (creations minus removals, cumulative-summed; a restart is -1 then
   +1 at its packet) for exact creation-time peak tracking, and the
   final entries rebuilt in the reference's LRU order — untouched
@@ -36,32 +38,40 @@ timeouts, LRU emergency eviction — all order-dependent.  Vectorizing it
   through the per-packet reference, so identity never depends on
   reproducing eviction interleavings vectorially.
   :attr:`FlowAccountantKernel.demoted_packets` counts the replayed
-  packets by cause.
+  packets by cause, and the accountant's store mirrors each cause as a
+  ``flow_cache_demoted_packets_<cause>`` counter from its first replay.
 
-Either way :func:`account_chunk` returns the chunk's exported records
-(in export order) and leaves ``table`` — entries, LRU order, counters,
-peak occupancy, last timestamp — bit-identical to per-packet feeding.
+Either way the kernel exports the chunk's flows as one
+:class:`~repro.flows.table.FlowColumns` block, rows in export order —
+no :class:`~repro.flows.table.FlowRecord` is built outside the replay —
+and leaves ``table`` — entries, LRU order, counters, peak occupancy,
+last timestamp — bit-identical to per-packet feeding.
+:func:`account_chunk` materializes the block's rows for tests.
 
 :class:`FlowAccountantKernel` lifts the same contract to
 :class:`~repro.flows.sampled.StreamFlowAccountant`: both flow tables,
-both record streams, and the ``flow_cache_*`` live metrics end each
+both export streams, and the ``flow_cache_*`` live metrics end each
 chunk exactly as the per-packet ``observe`` loop would leave them
 (gauges are last-write-wins and counters accumulate totals, so the
 chunk-aggregated updates land on identical values).
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.fastpath.pipeline import DEFAULT_CHUNK_PACKETS, iter_trace_chunks
 from repro.flows.sampled import StreamFlowAccountant, _Side
 from repro.flows.table import (
+    CODE_ACTIVE,
+    CODE_IDLE,
     REASON_ACTIVE,
     REASON_IDLE,
+    FlowColumns,
     FlowRecord,
     FlowTable,
     _FlowEntry,
+    group_flow_keys,
 )
 from repro.trace.trace import Trace
 
@@ -85,7 +95,8 @@ def encode_flow_keys(trace: Trace) -> "np.ndarray":
 
     One vectorized gather replaces n tuple constructions; every field
     of the classic key — nets, ports, protocol — fits uint16, so the
-    rows pack losslessly into integers for grouping (:func:`_group_keys`).
+    rows pack losslessly into integers for grouping
+    (:func:`~repro.flows.table.group_flow_keys`).
     """
     return np.column_stack(
         (
@@ -98,82 +109,29 @@ def encode_flow_keys(trace: Trace) -> "np.ndarray":
     )
 
 
-def _group_keys(
-    keys: "np.ndarray",
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-    """(representative_index, order, group_sorted) for the chunk's keys.
-
-    ``order`` walks the chunk grouped by key, each group's packets in
-    original arrival order (``lexsort`` is stable); ``group_sorted``
-    labels ``order``'s positions with ascending group ids; and
-    ``representative_index[g]`` is a chunk position carrying group
-    ``g``'s key.  The four 16-bit address/port fields pack into one
-    uint64 sort key with the protocol as a secondary — integer
-    ``lexsort`` is several times faster than ``np.unique`` over a
-    structured row view, whose comparison sort on void dtype would
-    dominate the whole kernel.
-    """
-    columns = keys.astype(np.uint64)
-    packed = (
-        (columns[:, 0] << np.uint64(48))
-        | (columns[:, 1] << np.uint64(32))
-        | (columns[:, 2] << np.uint64(16))
-        | columns[:, 3]
-    )
-    protocol = columns[:, 4]
-    order = np.lexsort((protocol, packed))
-    packed_sorted = packed[order]
-    protocol_sorted = protocol[order]
-    new_group = np.empty(order.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (packed_sorted[1:] != packed_sorted[:-1]) | (
-        protocol_sorted[1:] != protocol_sorted[:-1]
-    )
-    group_sorted = np.cumsum(new_group) - 1
-    representative_index = order[np.flatnonzero(new_group)]
-    return representative_index.astype(np.int64), order, group_sorted
-
-
-def _record(key: Tuple[int, ...], packets: int, bytes_: int,
-            first_us: int, last_us: int, reason: str) -> FlowRecord:
-    src_net, dst_net, src_port, dst_port, protocol = key
-    return FlowRecord(
-        src_net=src_net,
-        dst_net=dst_net,
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=protocol,
-        packets=packets,
-        bytes=bytes_,
-        first_us=first_us,
-        last_us=last_us,
-        reason=reason,
-    )
-
-
 def _replay(
     table: FlowTable,
     timestamps_us: "np.ndarray",
     sizes: "np.ndarray",
     keys: "np.ndarray",
     reason: str,
-    demoted: Optional[Dict[str, int]],
-) -> List[FlowRecord]:
+    demote: Optional[Callable[[str, int], None]],
+) -> FlowColumns:
     """Feed the chunk through the per-packet reference path.
 
-    The chunk's packets are counted under ``reason`` in ``demoted``
+    The chunk's packets are reported to ``demote`` under ``reason``
     before the replay starts (a backwards timestamp raises mid-replay,
     exactly as per-packet feeding would).
     """
-    if demoted is not None:
-        demoted[reason] += int(timestamps_us.shape[0])
+    if demote is not None:
+        demote(reason, int(timestamps_us.shape[0]))
     records: List[FlowRecord] = []
     key_rows = keys.tolist()
     for timestamp, size, row in zip(
         timestamps_us.tolist(), sizes.tolist(), key_rows
     ):
         records.extend(table.observe(timestamp, size, tuple(row)))
-    return records
+    return FlowColumns.from_records(records)
 
 
 def _active_restarts(
@@ -231,9 +189,12 @@ def account_chunk(
 
     Parameters mirror one chunk of :func:`encode_flow_keys` output with
     its timestamp and size columns.  Returns the records this chunk
-    exported, in export order (empty for a proven event-free chunk).
+    exported, in export order (empty for a proven event-free chunk),
+    materialized from the kernel's column block.  The row view exists
+    for the parity tests; production code consumes the block through
+    :func:`fast_aggregate_trace` and :class:`FlowAccountantKernel`.
     """
-    return _account_chunk(table, timestamps_us, sizes, keys, None)
+    return _account_chunk(table, timestamps_us, sizes, keys, None).to_records()
 
 
 def _account_chunk(
@@ -241,12 +202,12 @@ def _account_chunk(
     timestamps_us: "np.ndarray",
     sizes: "np.ndarray",
     keys: "np.ndarray",
-    demoted: Optional[Dict[str, int]],
-) -> List[FlowRecord]:
-    """:func:`account_chunk`, counting replayed packets in ``demoted``."""
+    demote: Optional[Callable[[str, int], None]],
+) -> FlowColumns:
+    """The chunk's exports as one block; replays are reported to ``demote``."""
     n = int(timestamps_us.shape[0])
     if n == 0:
-        return []
+        return FlowColumns.from_records(())
     arrivals = np.asarray(timestamps_us, dtype=np.int64)
     first_ts = int(arrivals[0])
     last_ts = int(arrivals[-1])
@@ -254,7 +215,7 @@ def _account_chunk(
         table._last_timestamp is not None and first_ts < table._last_timestamp
     ) or (n > 1 and np.any(np.diff(arrivals) < 0)):
         return _replay(
-            table, timestamps_us, sizes, keys, DEMOTED_BACKWARDS_TIME, demoted
+            table, timestamps_us, sizes, keys, DEMOTED_BACKWARDS_TIME, demote
         )
 
     idle = table.idle_timeout_us
@@ -263,7 +224,7 @@ def _account_chunk(
 
     # View the chunk grouped by key, each group's packets in arrival
     # order, then segment each run at >= idle gaps.
-    first_index, order, group_sorted = _group_keys(keys)
+    first_index, order, group_sorted = group_flow_keys(keys)
     group_count = first_index.size
     group_keys = [
         tuple(row) for row in np.ascontiguousarray(keys)[first_index].tolist()
@@ -399,7 +360,7 @@ def _account_chunk(
         peak_chunk = int(occupancy_after[create_idx].max())
         if peak_chunk > table.max_flows:
             return _replay(
-                table, timestamps_us, sizes, keys, DEMOTED_EVICTION, demoted
+                table, timestamps_us, sizes, keys, DEMOTED_EVICTION, demote
             )
     else:
         peak_chunk = 0
@@ -408,31 +369,38 @@ def _account_chunk(
     # from the LRU end — ascending (last_us, update sequence) — then
     # exports the arriving key's entry if its active timeout fired, so
     # the global stream is ascending (trigger, idle-before-active,
-    # last_us, update sequence).  Pre-chunk closures precede chunk
-    # sub-flows on full ties because their last update is older.
+    # last_us, update sequence).  The block holds pre-chunk closures
+    # (in LRU order), idle then active sub-flows, and restarted live
+    # entries; pre-chunk closures precede chunk sub-flows on full ties
+    # because their last update is older, and the stable sort keeps it.
     active_segs = np.flatnonzero(active_closed)
     sub_flows = np.concatenate((idle_segs, active_segs))
-    sub_reasons = [REASON_IDLE] * idle_segs.size + [REASON_ACTIVE] * (
-        active_segs.size
-    )
-    candidates = [entry.export(REASON_IDLE) for entry in prechunk_closed]
-    candidates.extend(
-        _record(group_keys[g], packets, bytes_, first_us, last_us, reason)
-        for g, packets, bytes_, first_us, last_us, reason in zip(
-            seg_group[sub_flows].tolist(),
-            seg_packets[sub_flows].tolist(),
-            seg_bytes[sub_flows].tolist(),
-            seg_first_us[sub_flows].tolist(),
-            seg_last_us[sub_flows].tolist(),
-            sub_reasons,
+    block = FlowColumns.concat(
+        (
+            FlowColumns.from_entries(prechunk_closed, REASON_IDLE),
+            FlowColumns(
+                keys=keys[first_index[seg_group[sub_flows]]],
+                packets=seg_packets[sub_flows],
+                bytes=seg_bytes[sub_flows],
+                first_us=seg_first_us[sub_flows],
+                last_us=seg_last_us[sub_flows],
+                reasons=np.repeat(
+                    np.array((CODE_IDLE, CODE_ACTIVE), dtype=np.int8),
+                    (idle_segs.size, active_segs.size),
+                ),
+            ),
+            FlowColumns.from_entries(
+                [
+                    entry
+                    for entry, restarted in zip(
+                        continued, entry_restarted.tolist()
+                    )
+                    if restarted
+                ],
+                REASON_ACTIVE,
+            ),
         )
     )
-    candidates.extend(
-        entry.export(REASON_ACTIVE)
-        for entry, restarted in zip(continued, entry_restarted.tolist())
-        if restarted
-    )
-    idle_count = len(prechunk_closed) + idle_segs.size
     export_trigger = np.concatenate(
         (
             prechunk_trig,
@@ -441,25 +409,14 @@ def _account_chunk(
             order[continued_pos[entry_restarted]],
         )
     )
-    export_last_us = np.concatenate(
-        (
-            prechunk_last,
-            seg_last_us[idle_segs],
-            np.zeros(restarts.size, dtype=np.int64),
-        )
+    exported = block.take(
+        np.lexsort((block.last_us, block.reasons, export_trigger))
     )
-    export_active = np.arange(export_trigger.size) >= idle_count
-    records = [
-        candidates[i]
-        for i in np.lexsort(
-            (export_last_us, export_active, export_trigger)
-        ).tolist()
-    ]
 
     # Commit: counters, then the entries dict rebuilt in LRU order —
     # untouched survivors keep their relative order ahead of touched
     # keys re-inserted by final update position.
-    table.exported[REASON_IDLE] += idle_count
+    table.exported[REASON_IDLE] += len(prechunk_closed) + idle_segs.size
     table.exported[REASON_ACTIVE] += restarts.size
     table.flows_created += int(create_idx.size)
     if peak_chunk > table.peak_occupancy:
@@ -489,37 +446,41 @@ def _account_chunk(
         entry.last_us = last_us
         entries[key] = entry
     table._last_timestamp = last_ts
-    return records
+    return exported
 
 
 def fast_aggregate_trace(
     trace: Trace,
     table: Optional[FlowTable] = None,
     chunk_packets: int = DEFAULT_CHUNK_PACKETS,
-) -> List[FlowRecord]:
+) -> FlowColumns:
     """Chunked, vectorized :func:`repro.flows.table.aggregate_trace`.
 
-    Same records in the same order, for any ``chunk_packets`` — pinned
-    by ``tests/fastpath/test_flows_parity.py``.
+    The same records in the same order, for any ``chunk_packets``, as
+    one column block (``to_records()`` gives the rows) — pinned by
+    ``tests/fastpath/test_flows_parity.py``.
     """
     if table is None:
         table = FlowTable()
-    records: List[FlowRecord] = []
-    for chunk in iter_trace_chunks(trace, chunk_packets):
-        records.extend(
-            account_chunk(
-                table, chunk.timestamps_us, chunk.sizes, encode_flow_keys(chunk)
-            )
+    blocks = [
+        _account_chunk(
+            table,
+            chunk.timestamps_us,
+            chunk.sizes,
+            encode_flow_keys(chunk),
+            None,
         )
-    records.extend(table.flush())
-    return records
+        for chunk in iter_trace_chunks(trace, chunk_packets)
+    ]
+    blocks.append(table.flush_columns())
+    return FlowColumns.concat(blocks)
 
 
 class FlowAccountantKernel:
     """Chunk-feeds a :class:`StreamFlowAccountant` bit-identically.
 
-    Wraps (does not replace) an accountant: the same tables, record
-    sinks, and resolved ``flow_cache_*`` metrics are updated, so code
+    Wraps (does not replace) an accountant: the same tables, export
+    block lists, and resolved ``flow_cache_*`` metrics are updated, so code
     holding the accountant — exposition, tests, a later per-packet
     resumption — observes exactly the state per-packet feeding would
     have produced.
@@ -562,10 +523,19 @@ class FlowAccountantKernel:
     ) -> None:
         self.accountant._publish(
             side,
-            _account_chunk(
-                side[0], timestamps_us, sizes, keys, self.demoted_packets
-            ),
+            _account_chunk(side[0], timestamps_us, sizes, keys, self._demote),
         )
+
+    def _demote(self, reason: str, packets: int) -> None:
+        """Count a replayed chunk here and in the accountant's store.
+
+        The store's counter is created by the first demotion, so a run
+        that demotes nothing exposes exactly what it exposed before.
+        """
+        self.demoted_packets[reason] += packets
+        self.accountant.store.counter(
+            "flow_cache_demoted_packets_" + reason
+        ).inc(packets)
 
     def flush(self) -> None:
         """Close out both tables at end of stream (reference flush)."""

@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.sampling.streaming import ChunkSelector, StreamingSampler
 from repro.fastpath.monitor import observe_chunk
 from repro.obs.live.monitor import QualityMonitor, WindowStats
+from repro.trace.store import DEFAULT_CHUNK_PACKETS
 from repro.trace.trace import Trace
 
 if TYPE_CHECKING:
@@ -29,12 +30,6 @@ __all__ = [
     "iter_trace_chunks",
     "run_monitor",
 ]
-
-#: Packets per chunk for in-memory traces: large enough to amortize
-#: per-chunk numpy overhead, small enough that chunk scratch stays in
-#: cache-friendly territory (~1.5 MB of columns).
-DEFAULT_CHUNK_PACKETS = 65_536
-
 
 def iter_trace_chunks(
     trace: Trace, chunk_packets: int = DEFAULT_CHUNK_PACKETS

@@ -6,7 +6,9 @@ the repo's synthetic traces:
 
 * :mod:`repro.flows.table` — a streaming NetFlow-style flow cache
   (5-tuple keys, idle/active timeouts, bounded memory) exporting
-  immutable :class:`~repro.flows.table.FlowRecord` objects;
+  immutable :class:`~repro.flows.table.FlowRecord` objects, and the
+  :class:`~repro.flows.table.FlowColumns` block the chunk kernel
+  exports instead;
 * :mod:`repro.flows.sampled` — parent and sampled flow populations
   produced by driving the existing samplers through the flow table,
   plus a passive streaming accountant for the online path;
@@ -44,6 +46,7 @@ from repro.flows.sampled import (
 from repro.flows.table import (
     DEFAULT_ACTIVE_TIMEOUT_US,
     DEFAULT_IDLE_TIMEOUT_US,
+    FlowColumns,
     FlowKey,
     FlowRecord,
     FlowTable,
@@ -56,6 +59,7 @@ __all__ = [
     "DEFAULT_IDLE_TIMEOUT_US",
     "EstimateScore",
     "FLOW_SIZE_BINS",
+    "FlowColumns",
     "FlowKey",
     "FlowRecord",
     "FlowSet",

@@ -24,28 +24,46 @@ Two entry points mirror the repo's batch/streaming split:
   :class:`~repro.obs.live.QualityMonitor`.  It is passive by the same
   contract — it never touches an RNG and never influences a decision,
   so an accounted run is bit-identical to a bare one.
+
+Both produce columnar populations: a :class:`FlowSet` is one
+:class:`~repro.flows.table.FlowColumns` block, the accountant keeps one
+block per export per side, and every summary here — sizes, size
+counts, detected fraction — reads arrays.  :class:`FlowRecord` rows are
+built only when a caller reads :attr:`FlowSet.records`.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.metrics.bins import BinSpec
 from repro.core.sampling.base import Sampler, SamplingResult
 from repro.flows.table import (
+    CODE_EVICTED,
     REASON_EVICTED,
+    FlowColumns,
     FlowKey,
     FlowRecord,
     FlowTable,
+    group_flow_keys,
 )
 from repro.obs.instrument import Counter, Gauge
 from repro.obs.live.store import LiveMetricsStore
 from repro.trace.trace import Trace
 
-#: One side of the accountant's hot path: the table, its record sink,
-#: and the pre-resolved metrics (occupancy, peak, exported, evicted).
-_Side = Tuple[FlowTable, List[FlowRecord], Gauge, Gauge, Counter, Counter]
+#: One side of the accountant's hot path: the table, its export blocks,
+#: the rows the per-packet path exported since the last block, and the
+#: pre-resolved metrics (occupancy, peak, exported, evicted).
+_Side = Tuple[
+    FlowTable,
+    List[FlowColumns],
+    List[FlowRecord],
+    Gauge,
+    Gauge,
+    Counter,
+    Counter,
+]
 
 #: Flow sizes (packets per flow) are compared over geometric bins —
 #: flow-size distributions are heavy-tailed, so equal-width bins would
@@ -58,48 +76,101 @@ FLOW_SIZE_BINS = BinSpec(
 )
 
 
-@dataclass(frozen=True)
 class FlowSet:
-    """An exported flow population with the summaries analysis needs."""
+    """An exported flow population with the summaries analysis needs.
 
-    records: Tuple[FlowRecord, ...]
+    The population is one :class:`~repro.flows.table.FlowColumns`
+    block, and every summary reads its arrays.  ``records`` is a lazy
+    row view, built in one pass on first read and cached; no flow-level
+    consumer needs it.  Built from ``records``, the set keeps them and
+    derives the block.  Two sets are equal when their blocks are, so a
+    kernel-built population equals the per-packet one.
+    """
+
+    __slots__ = ("columns", "_records")
+
+    def __init__(
+        self,
+        records: Iterable[FlowRecord] = (),
+        columns: Optional[FlowColumns] = None,
+    ) -> None:
+        self._records: Optional[Tuple[FlowRecord, ...]] = None
+        if columns is None:
+            self._records = tuple(records)
+            columns = FlowColumns.from_records(self._records)
+        self.columns = columns
+
+    @property
+    def records(self) -> Tuple[FlowRecord, ...]:
+        """The population as :class:`FlowRecord` rows, in export order."""
+        if self._records is None:
+            self._records = tuple(self.columns.to_records())
+        return self._records
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FlowSet):
+            return NotImplemented
+        return self.columns == other.columns
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return "FlowSet(%d flows)" % len(self)
 
     def sizes(self) -> np.ndarray:
         """Packets per flow, one entry per record."""
-        return np.asarray(
-            [record.packets for record in self.records], dtype=np.int64
-        )
+        return self.columns.packets.astype(np.int64)
 
     def byte_sizes(self) -> np.ndarray:
         """Bytes per flow, one entry per record."""
-        return np.asarray(
-            [record.bytes for record in self.records], dtype=np.int64
-        )
+        return self.columns.bytes.astype(np.int64)
 
     def keys(self) -> frozenset:
         """Distinct 5-tuples present in the population."""
-        return frozenset(record.key for record in self.records)
+        representatives, _, _ = group_flow_keys(self.columns.keys)
+        return frozenset(
+            map(tuple, self.columns.keys[representatives].tolist())
+        )
 
     @property
     def total_packets(self) -> int:
-        return int(self.sizes().sum()) if self.records else 0
+        return int(self.columns.packets.sum())
 
     @property
     def total_bytes(self) -> int:
-        return int(self.byte_sizes().sum()) if self.records else 0
+        return int(self.columns.bytes.sum())
 
     def mean_size(self) -> float:
         """Mean packets per flow (0.0 for an empty population)."""
-        if not self.records:
+        if not len(self):
             return 0.0
-        return self.total_packets / len(self.records)
+        return self.total_packets / len(self)
 
     def size_counts(self, bins: BinSpec = FLOW_SIZE_BINS) -> np.ndarray:
         """Flow counts over the flow-size bins."""
-        return bins.counts(self.sizes().astype(np.float64))
+        return bins.counts(self.columns.packets.astype(np.float64))
+
+
+def detected_fraction(parent: FlowSet, sampled: FlowSet) -> float:
+    """Share of ``parent``'s 5-tuples that occur in ``sampled``.
+
+    Both key blocks are grouped together once; a parent group is
+    detected when any sampled row falls in it.
+    """
+    parent_rows = len(parent)
+    if not parent_rows:
+        return 0.0
+    _, order, group_sorted = group_flow_keys(
+        np.concatenate((parent.columns.keys, sampled.columns.keys))
+    )
+    groups = np.empty(order.size, dtype=np.int64)
+    groups[order] = group_sorted
+    parent_groups = np.unique(groups[:parent_rows])
+    detected = np.isin(parent_groups, groups[parent_rows:])
+    return int(np.count_nonzero(detected)) / parent_groups.size
 
 
 def parent_flows(trace: Trace, table: Optional[FlowTable] = None) -> FlowSet:
@@ -107,7 +178,7 @@ def parent_flows(trace: Trace, table: Optional[FlowTable] = None) -> FlowSet:
     # Imported here: repro.fastpath.flows imports this module.
     from repro.fastpath.flows import fast_aggregate_trace
 
-    return FlowSet(records=tuple(fast_aggregate_trace(trace, table=table)))
+    return FlowSet(columns=fast_aggregate_trace(trace, table=table))
 
 
 def sampled_flows(
@@ -137,10 +208,7 @@ class FlowStudy:
     @property
     def detected_fraction(self) -> float:
         """Share of parent 5-tuples with at least one sampled packet."""
-        parent_keys = self.parent.keys()
-        if not parent_keys:
-            return 0.0
-        return len(self.sampled.keys() & parent_keys) / len(parent_keys)
+        return detected_fraction(self.parent, self.sampled)
 
     def summary(self) -> Dict[str, float]:
         """The flat numeric summary used by telemetry and the CLI."""
@@ -208,16 +276,10 @@ def shard_flow_summary(
     if parent is None:
         parent = parent_flows(window)
     sampled = parent_flows(window.select(indices))
-    parent_keys = parent.keys()
-    detected = (
-        len(sampled.keys() & parent_keys) / len(parent_keys)
-        if parent_keys
-        else 0.0
-    )
     return {
         "parent_flows": float(len(parent)),
         "sampled_flows": float(len(sampled)),
-        "detected_fraction": round(detected, 6),
+        "detected_fraction": round(detected_fraction(parent, sampled), 6),
         "parent_mean_packets": round(parent.mean_size(), 6),
         "sampled_mean_packets": round(sampled.mean_size(), 6),
     }
@@ -227,8 +289,9 @@ class StreamFlowAccountant:
     """Passive per-packet flow accounting beside a streaming selector.
 
     Maintains two flow tables — every offered packet feeds the parent
-    table, kept packets additionally feed the sampled table — and
-    mirrors their occupancy/eviction/export counters into a
+    table, kept packets additionally feed the sampled table — keeps
+    each side's exports as a list of column blocks, and mirrors the
+    tables' occupancy/eviction/export counters into a
     :class:`~repro.obs.live.LiveMetricsStore` so the live exposition
     path (textfile exporter, ``/metrics``) can serve them.
 
@@ -257,20 +320,19 @@ class StreamFlowAccountant:
             max_flows=max_flows,
         )
         self.store = store if store is not None else LiveMetricsStore()
-        self._parent_records: List[FlowRecord] = []
-        self._sampled_records: List[FlowRecord] = []
         # Hot-path metrics resolved once; the per-packet path must not
         # pay name lookups or rebuild stats dicts (cf. the engine's
         # _Execution, which resolves its counters off the shard loop).
         self._sides: List[_Side] = []
-        for side, table, records in (
-            ("parent", self.parent_table, self._parent_records),
-            ("sampled", self.sampled_table, self._sampled_records),
+        for side, table in (
+            ("parent", self.parent_table),
+            ("sampled", self.sampled_table),
         ):
             self._sides.append(
                 (
                     table,
-                    records,
+                    [],
+                    [],
                     self.store.gauge("flow_cache_occupancy_%s" % side),
                     self.store.gauge("flow_cache_peak_occupancy_%s" % side),
                     self.store.counter("flow_cache_exported_%s" % side),
@@ -283,16 +345,19 @@ class StreamFlowAccountant:
     ) -> None:
         """Account one offered packet and its keep/skip decision."""
         parent, sampled = self._sides
-        self._publish(parent, parent[0].observe(timestamp_us, size, key))
+        self._publish_rows(parent, parent[0].observe(timestamp_us, size, key))
         if kept:
-            self._publish(sampled, sampled[0].observe(timestamp_us, size, key))
+            self._publish_rows(
+                sampled, sampled[0].observe(timestamp_us, size, key)
+            )
 
     @staticmethod
-    def _publish(side: _Side, new_records: List[FlowRecord]) -> None:
-        """Append one side's new records and mirror its table metrics."""
-        table, records, occupancy, peak, exported, evicted = side
+    def _publish_rows(side: _Side, new_records: List[FlowRecord]) -> None:
+        """:meth:`_publish` for the per-packet path, which keeps its
+        exports as rows until a block follows or a population is read."""
+        table, _blocks, rows, occupancy, peak, exported, evicted = side
         if new_records:
-            records.extend(new_records)
+            rows.extend(new_records)
             exported.inc(len(new_records))
             evictions = sum(
                 record.reason == REASON_EVICTED for record in new_records
@@ -302,23 +367,41 @@ class StreamFlowAccountant:
         occupancy.set(float(table.occupancy))
         peak.set(float(table.peak_occupancy))
 
+    @staticmethod
+    def _publish(side: _Side, block: FlowColumns) -> None:
+        """Append one side's new export block and mirror its table metrics."""
+        table, _blocks, _rows, occupancy, peak, exported, evicted = side
+        if len(block):
+            _seal(side).append(block)
+            exported.inc(block.reasons.size)
+            evictions = int(np.count_nonzero(block.reasons == CODE_EVICTED))
+            if evictions:
+                evicted.inc(evictions)
+        occupancy.set(float(table.occupancy))
+        peak.set(float(table.peak_occupancy))
+
     def flush(self) -> None:
         """Close out both tables at end of stream."""
         for side in self._sides:
-            table, records, occupancy, peak, exported, _evicted = side
-            flushed = table.flush()
-            records.extend(flushed)
-            exported.inc(len(flushed))
-            occupancy.set(0.0)
-            peak.set(float(table.peak_occupancy))
+            self._publish(side, side[0].flush_columns())
 
     def parent(self) -> FlowSet:
-        """Parent flow records exported so far."""
-        return FlowSet(records=tuple(self._parent_records))
+        """Parent flows exported so far, as one column block."""
+        return FlowSet(columns=FlowColumns.concat(_seal(self._sides[0])))
 
     def sampled(self) -> FlowSet:
-        """Sampled flow records exported so far."""
-        return FlowSet(records=tuple(self._sampled_records))
+        """Sampled flows exported so far, as one column block."""
+        return FlowSet(columns=FlowColumns.concat(_seal(self._sides[1])))
+
+
+def _seal(side: _Side) -> List[FlowColumns]:
+    """A side's export blocks, its pending per-packet rows moved into
+    one block first so the stream stays in export order."""
+    _table, blocks, rows = side[:3]
+    if rows:
+        blocks.append(FlowColumns.from_records(rows))
+        rows.clear()
+    return blocks
 
 
 class NullFlowAccountant:
@@ -337,8 +420,3 @@ class NullFlowAccountant:
 
 #: The shared disabled instance.
 NULL_ACCOUNTANT = NullFlowAccountant()
-
-
-def flow_sizes(records: Sequence[FlowRecord]) -> np.ndarray:
-    """Packets per flow for a sequence of records."""
-    return np.asarray([record.packets for record in records], dtype=np.int64)

@@ -29,7 +29,10 @@ same flow records in the same order.
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import starmap
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.trace.trace import Trace
 
@@ -46,6 +49,12 @@ REASON_IDLE = "idle"
 REASON_ACTIVE = "active"
 REASON_EVICTED = "evicted"
 REASON_FLUSH = "flush"
+
+#: A :class:`FlowColumns` block stores each record's export reason as
+#: an int8 index into this tuple.
+REASONS = (REASON_IDLE, REASON_ACTIVE, REASON_EVICTED, REASON_FLUSH)
+CODE_IDLE, CODE_ACTIVE, CODE_EVICTED, CODE_FLUSH = range(len(REASONS))
+_REASON_CODES = {reason: code for code, reason in enumerate(REASONS)}
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,162 @@ class FlowRecord:
     def duration_us(self) -> int:
         """First-to-last packet span (0 for single-packet flows)."""
         return self.last_us - self.first_us
+
+
+@dataclass(frozen=True, eq=False)
+class FlowColumns:
+    """Exported flow records as one column block, rows in export order.
+
+    ``keys`` is the ``(n, 5)`` block of 5-tuples (the
+    :data:`FlowKey` field order); ``packets``, ``bytes``, ``first_us``
+    and ``last_us`` are int64; ``reasons`` holds int8 codes into
+    :data:`REASONS`.  The flow kernel exports one block per chunk and
+    every flow-level consumer reads the columns directly;
+    :meth:`to_records` builds :class:`FlowRecord` rows only for a
+    caller that asks for them.  Blocks compare equal when every column
+    holds the same values, whatever the integer dtypes.
+    """
+
+    keys: np.ndarray
+    packets: np.ndarray
+    bytes: np.ndarray
+    first_us: np.ndarray
+    last_us: np.ndarray
+    reasons: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.reasons.size)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FlowColumns):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(self._columns(), other._columns())
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        return (
+            self.keys,
+            self.packets,
+            self.bytes,
+            self.first_us,
+            self.last_us,
+            self.reasons,
+        )
+
+    def take(self, index: np.ndarray) -> "FlowColumns":
+        """The rows at ``index``, in that order."""
+        return FlowColumns(*(column[index] for column in self._columns()))
+
+    @classmethod
+    def concat(cls, blocks: Sequence["FlowColumns"]) -> "FlowColumns":
+        """The blocks' rows end to end (empty blocks cost nothing)."""
+        full = [block for block in blocks if len(block)]
+        if len(full) == 1:
+            return full[0]
+        if not full:
+            return blocks[0] if blocks else cls._from_rows(())
+        columns = zip(*(block._columns() for block in full))
+        return cls(*(np.concatenate(column) for column in columns))
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence[Sequence[int]]) -> "FlowColumns":
+        """A block from rows of the nine record fields and a reason code."""
+        table = np.asarray(rows, dtype=np.int64).reshape(-1, 10)
+        return cls(
+            keys=table[:, :5],
+            packets=table[:, 5],
+            bytes=table[:, 6],
+            first_us=table[:, 7],
+            last_us=table[:, 8],
+            reasons=table[:, 9].astype(np.int8),
+        )
+
+    @classmethod
+    def from_records(cls, records: Iterable[FlowRecord]) -> "FlowColumns":
+        """The block holding ``records``, in order."""
+        return cls._from_rows(
+            [
+                (
+                    r.src_net, r.dst_net, r.src_port, r.dst_port, r.protocol,
+                    r.packets, r.bytes, r.first_us, r.last_us,
+                    _REASON_CODES[r.reason],
+                )
+                for r in records
+            ]
+        )
+
+    @classmethod
+    def from_entries(
+        cls, entries: Iterable["_FlowEntry"], reason: str
+    ) -> "FlowColumns":
+        """Live entries exported for ``reason``, without building records."""
+        code = _REASON_CODES[reason]
+        return cls._from_rows(
+            [
+                (*e.key, e.packets, e.bytes, e.first_us, e.last_us, code)
+                for e in entries
+            ]
+        )
+
+    def rows(self) -> List[tuple]:
+        """Every row as a plain tuple in :class:`FlowRecord` field order.
+
+        One ``tolist`` per column, then one ``zip``: the cost of a row
+        is a tuple, not a dozen numpy scalar conversions.
+        """
+        return list(
+            zip(
+                *self.keys.T.tolist(),
+                self.packets.tolist(),
+                self.bytes.tolist(),
+                self.first_us.tolist(),
+                self.last_us.tolist(),
+                [REASONS[code] for code in self.reasons.tolist()],
+            )
+        )
+
+    def to_records(self) -> List[FlowRecord]:
+        """The rows as :class:`FlowRecord` objects."""
+        return list(starmap(FlowRecord, self.rows()))
+
+
+def group_flow_keys(
+    keys: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(representative_index, order, group_sorted) for a key block.
+
+    ``order`` walks the rows grouped by key, each group's rows in
+    original order (``lexsort`` is stable); ``group_sorted`` labels
+    ``order``'s positions with ascending group ids; and
+    ``representative_index[g]`` is a row carrying group ``g``'s key.
+    The four 16-bit address/port fields pack losslessly into one uint64
+    sort key with the protocol as a secondary — integer ``lexsort`` is
+    several times faster than ``np.unique`` over a structured row view,
+    whose comparison sort on void dtype would dominate the flow kernel.
+    """
+    columns = np.asarray(keys).astype(np.uint64)
+    packed = (
+        (columns[:, 0] << np.uint64(48))
+        | (columns[:, 1] << np.uint64(32))
+        | (columns[:, 2] << np.uint64(16))
+        | columns[:, 3]
+    )
+    protocol = columns[:, 4]
+    order = np.lexsort((protocol, packed))
+    packed_sorted = packed[order]
+    protocol_sorted = protocol[order]
+    new_group = np.empty(order.size, dtype=bool)
+    new_group[:1] = True
+    new_group[1:] = (packed_sorted[1:] != packed_sorted[:-1]) | (
+        protocol_sorted[1:] != protocol_sorted[:-1]
+    )
+    group_sorted = np.cumsum(new_group) - 1
+    representative_index = order[np.flatnonzero(new_group)]
+    return representative_index.astype(np.int64), order, group_sorted
 
 
 class _FlowEntry:
@@ -217,6 +382,13 @@ class FlowTable:
         self.exported[REASON_FLUSH] += len(records)
         self._entries.clear()
         return records
+
+    def flush_columns(self) -> FlowColumns:
+        """:meth:`flush` as one column block, building no records."""
+        block = FlowColumns.from_entries(self._entries.values(), REASON_FLUSH)
+        self.exported[REASON_FLUSH] += len(block)
+        self._entries.clear()
+        return block
 
     def _expire_idle(self, now_us: int) -> List[FlowRecord]:
         """Pop idle-expired entries from the LRU end."""

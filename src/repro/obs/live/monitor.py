@@ -100,7 +100,7 @@ class _WindowTarget:
         self.sampled = RunningHistogram(self.bins.edges)
 
 
-def _score_window(
+def score_window(
     parent_counts: np.ndarray,
     sampled_counts: np.ndarray,
     min_scored: int,
@@ -264,7 +264,7 @@ class QualityMonitor:
         end = start + self.window_us
         metrics: Dict[str, Optional[float]] = {}
         for target in self._targets:
-            phi, significance, l1 = _score_window(
+            phi, significance, l1 = score_window(
                 target.parent.counts, target.sampled.counts, self.min_scored
             )
             metrics["phi[%s]" % target.name] = phi

@@ -30,6 +30,7 @@ import numpy as np
 from repro.obs.instrument import NULL_OBS
 from repro.trace.packet import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP
 from repro.trace.store import (
+    DEFAULT_CHUNK_PACKETS,
     LINKTYPE_RAW,
     PCAP_MAGIC,
     FastpathUnsupported,
@@ -336,10 +337,6 @@ class _ChunkBuilder:
         self._obs.counter("pcap_chunks").inc()
         self._obs.counter("pcap_packets").inc(len(chunk))
         return chunk
-
-
-#: Default packets per chunk for :func:`iter_pcap` — ~5 MB of columns.
-DEFAULT_CHUNK_PACKETS = 262_144
 
 
 def iter_pcap(

@@ -42,6 +42,7 @@ from repro.trace.trace import Trace
 
 __all__ = [
     "DEFAULT_BLOCK_BYTES",
+    "DEFAULT_CHUNK_PACKETS",
     "FastpathUnsupported",
     "LINKTYPE_RAW",
     "PCAP_MAGIC",
@@ -54,6 +55,13 @@ __all__ = [
 #: to amortize the candidate scan, small enough that a block's
 #: temporaries stay cache-resident between pipeline stages.
 DEFAULT_BLOCK_BYTES = 1 << 22
+
+#: Packets per chunk wherever a trace is streamed — pcap ingest and
+#: in-memory chunking alike: large enough to amortize per-chunk numpy
+#: overhead, small enough that chunk scratch stays cache-friendly
+#: (~1.5 MB of columns) and a window closes soon after its last packet
+#: arrives.
+DEFAULT_CHUNK_PACKETS = 65_536
 
 #: Smallest well-formed record: 16-byte pcap record header plus the
 #: 20-byte IPv4 header the reference reader insists on.

@@ -10,6 +10,7 @@ from repro.core.evaluation.targets import (
 )
 from repro.core.sampling.systematic import SystematicSampler
 from repro.core.sampling.timer import TimerSystematicSampler
+from repro.trace.filters import where
 from repro.trace.trace import Trace
 
 
@@ -62,6 +63,18 @@ class TestFidelitySeries:
             trace, result, PACKET_SIZE_TARGET, window_us=10_000_000
         )
         assert all(not p.usable for p in points)
+
+    def test_one_bin_window_scores_zero(self, minute_trace):
+        # Every value of a 40-byte-only trace falls in the first size
+        # bin: a sample confined to the parent's only bin matches it
+        # exactly, as the online monitor scores it.
+        acks = where(minute_trace, lambda t: t.sizes == 40)
+        result = SystematicSampler(granularity=2).sample(acks)
+        points = fidelity_series(
+            acks, result, PACKET_SIZE_TARGET, window_us=10_000_000
+        )
+        assert len(points) == 6
+        assert all(p.usable and p.phi == 0.0 for p in points)
 
     def test_empty_trace(self):
         result = SystematicSampler(granularity=2).sample(Trace.empty())

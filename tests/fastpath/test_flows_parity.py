@@ -108,6 +108,16 @@ def assert_accountants_identical(
     assert subject.store.snapshot() == reference.store.snapshot()
 
 
+def with_demotions(snapshot, kernel: FlowAccountantKernel):
+    """A per-packet accountant's store snapshot plus the counters the
+    kernel adds for its replays (one per cause that demoted packets)."""
+    counters = dict(snapshot["counters"])
+    for reason, packets in kernel.demoted_packets.items():
+        if packets:
+            counters["flow_cache_demoted_packets_" + reason] = packets
+    return dict(snapshot, counters=dict(sorted(counters.items())))
+
+
 def assert_not_demoted(kernel: FlowAccountantKernel):
     assert not any(kernel.demoted_packets.values()), kernel.demoted_packets
 
@@ -407,7 +417,7 @@ class TestFastAggregateTrace:
     def test_matches_reference(self, chunk_packets, tiny_trace):
         assert fast_aggregate_trace(
             tiny_trace, chunk_packets=chunk_packets
-        ) == aggregate_trace(tiny_trace)
+        ).to_records() == aggregate_trace(tiny_trace)
 
     def test_minute_trace_with_table_stats(self, minute_trace):
         subset = minute_trace.slice_packets(0, 8000)
@@ -416,7 +426,7 @@ class TestFastAggregateTrace:
         actual = fast_aggregate_trace(
             subset, table=subject, chunk_packets=1024
         )
-        assert actual == expected
+        assert actual.to_records() == expected
         assert subject.stats() == reference.stats()
 
     def test_rejects_bad_chunk(self, tiny_trace):
@@ -424,7 +434,7 @@ class TestFastAggregateTrace:
             fast_aggregate_trace(tiny_trace, chunk_packets=0)
 
     def test_empty_trace(self):
-        assert fast_aggregate_trace(Trace.empty()) == []
+        assert fast_aggregate_trace(Trace.empty()).to_records() == []
 
 
 class TestAccountantKernel:
@@ -456,9 +466,25 @@ class TestAccountantKernel:
             max_flows=8,
         )
         assert subject.parent() == reference.parent()
-        assert subject.store.snapshot() == reference.store.snapshot()
+        assert subject.store.snapshot() == with_demotions(
+            reference.store.snapshot(), kernel
+        )
         assert kernel.demoted_packets["eviction"] > 0
         assert kernel.demoted_packets["backwards_time"] == 0
+
+    def test_eviction_storm_raises_its_store_counter(self):
+        trace = flow_trace(400, seed=7, gap_hi=300_000)
+        kept = np.zeros(len(trace), dtype=bool)
+        _, subject, kernel = run_accountants(
+            trace, kept, [64] * (len(trace) // 64), max_flows=16
+        )
+        counters = subject.store.snapshot()["counters"]
+        assert counters["flow_cache_evictions_parent"] > 0
+        assert counters["flow_cache_demoted_packets_eviction"] == (
+            kernel.demoted_packets["eviction"]
+        )
+        assert kernel.demoted_packets["eviction"] > 0
+        assert "flow_cache_demoted_packets_backwards_time" not in counters
 
     def test_backwards_time_counts_demoted_chunk(self):
         # A later chunk that starts before the previous one ended.
@@ -472,6 +498,21 @@ class TestAccountantKernel:
             "eviction": 0,
             "backwards_time": len(second),
         }
+        counters = kernel.accountant.store.snapshot()["counters"]
+        assert counters["flow_cache_demoted_packets_backwards_time"] == len(
+            second
+        )
+        assert "flow_cache_demoted_packets_eviction" not in counters
+
+    def test_no_demotion_counter_without_a_replay(self):
+        trace = flow_trace(500, seed=6)
+        kept = np.arange(len(trace)) % 10 == 3
+        _, subject, kernel = run_accountants(trace, kept, [100] * 5)
+        assert_not_demoted(kernel)
+        assert not any(
+            name.startswith("flow_cache_demoted")
+            for name in subject.store.snapshot()["counters"]
+        )
 
     def test_mask_shape_checked(self, tiny_trace):
         kernel = FlowAccountantKernel(StreamFlowAccountant())

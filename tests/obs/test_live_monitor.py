@@ -19,6 +19,7 @@ from repro.obs.live import (
     WindowStats,
 )
 from repro.stats.histogram import bin_counts
+from repro.trace.filters import where
 
 WINDOW_US = 10_000_000
 
@@ -40,6 +41,20 @@ def drive(monitor, trace, kept_mask):
     return windows
 
 
+def assert_phi_matches(trace, result, stats, target):
+    """The monitor's windows carry fidelity_series' phi, window for window."""
+    points = fidelity_series(trace, result, target, WINDOW_US)
+    assert len(stats) == len(points)
+    key = "phi[%s]" % target.name
+    for window, point in zip(stats, points):
+        assert window.start_us == point.start_us
+        assert window.end_us == point.end_us
+        if point.phi is None:
+            assert window.get(key) is None
+        else:
+            assert window.get(key) == pytest.approx(point.phi, rel=1e-9)
+
+
 class TestBatchEquivalence:
     """The monitor's windows must match fidelity_series point-for-point."""
 
@@ -56,16 +71,14 @@ class TestBatchEquivalence:
     )
     def test_phi_matches_fidelity_series(self, minute_trace, windows, target):
         result, stats = windows
-        points = fidelity_series(minute_trace, result, target, WINDOW_US)
-        assert len(stats) == len(points)
-        key = "phi[%s]" % target.name
-        for window, point in zip(stats, points):
-            assert window.start_us == point.start_us
-            assert window.end_us == point.end_us
-            if point.phi is None:
-                assert window.get(key) is None
-            else:
-                assert window.get(key) == pytest.approx(point.phi, rel=1e-9)
+        assert_phi_matches(minute_trace, result, stats, target)
+        # A 40-byte-only trace puts every packet size in one bin.
+        acks = where(minute_trace, lambda t: t.sizes == 40)
+        result = SystematicSampler(2).sample(acks)
+        kept = np.zeros(len(acks), dtype=bool)
+        kept[result.indices] = True
+        stats = drive(QualityMonitor(window_us=WINDOW_US), acks, kept)
+        assert_phi_matches(acks, result, stats, target)
 
     def test_windows_tile_the_stream(self, minute_trace, windows):
         _, stats = windows

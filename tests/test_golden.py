@@ -140,3 +140,122 @@ class TestCollectionGolden:
         assert node.collector.examined_packets == 1658
         assert node.collector.dropped_packets == 1019
         assert node.horvitz_thompson_total() == 55900.0
+
+
+@pytest.fixture(scope="module")
+def flows_pcap(tmp_path_factory):
+    """A 300 s pcap: long enough for a 60 s active timeout to fire."""
+    from repro.cli import main
+
+    path = str(tmp_path_factory.mktemp("flows") / "t300.pcap")
+    assert main(["generate", path, "--duration", "300", "--seed", "1993"]) == 0
+    return path
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+#: Flow-cache flags for the pins: an active timeout that fires inside
+#: the trace, once with the default capacity (idle and active exports
+#: through the chunk kernel) and once with a 64-entry cache (an LRU
+#: eviction storm through the per-packet replay).
+FLOW_CACHE_FLAGS = {
+    "timeouts": ["--active-timeout", "60"],
+    "eviction-storm": ["--active-timeout", "60", "--max-flows", "64"],
+}
+
+
+class TestFlowsGolden:
+    """Exact ``flows`` CLI output and engine flow summaries."""
+
+    STDOUT = {
+        ("timeouts", "aggregate"): (
+            "b7987ae48889a280815c7230fd7a01a54e32836ab151ec5959aff27df2ac3cf6"
+        ),
+        ("timeouts", "sample"): (
+            "66921e271efc30d5359f9f67fdfce85fe7669398ee69a05a8f31c1f23c6d0bba"
+        ),
+        ("timeouts", "invert"): (
+            "8f509fe22843133f342ab8104be207582715f2973ffb8b2c6668e23bf78a90e6"
+        ),
+        ("timeouts", "compare"): (
+            "a63b0755fa87300bc4c5250c1da6115abe4b22f4ca1311c17fde2c7f335408cf"
+        ),
+        ("eviction-storm", "aggregate"): (
+            "a4fba02b05cc018b6ff79735e39563af04148b85da12815d81a2e1daab97275a"
+        ),
+        ("eviction-storm", "sample"): (
+            "7cf422668204aa4351f2c3ef7f1967d17d3cb44fab4d3a9dd2ebdea28418cb06"
+        ),
+        ("eviction-storm", "invert"): (
+            "aebf7caf616404d80da31ccd4a065bb3a5a615baf431de3582929ec0572ff4ad"
+        ),
+        ("eviction-storm", "compare"): (
+            "08af2bed29338444d819451200761bc0dccd33991504cf6331c1e3146290249b"
+        ),
+    }
+    AGGREGATE_CSV = {
+        "timeouts": (
+            "b8ea18f34791ca8680a67b65f51cab7174b69414a7e0b242031d00151db5e02f"
+        ),
+        "eviction-storm": (
+            "40271724767a5a35acc836b74e439196d9ec720f7b982360613fd41f5a122253"
+        ),
+    }
+
+    @pytest.mark.parametrize("flags", sorted(FLOW_CACHE_FLAGS))
+    @pytest.mark.parametrize("mode", ["aggregate", "sample", "invert", "compare"])
+    def test_flows_command_output(
+        self, flows_pcap, flags, mode, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["flows", flows_pcap, mode, "--granularity", "20"]
+        argv += FLOW_CACHE_FLAGS[flags]
+        if mode == "aggregate":
+            argv += ["--csv", "flows.csv"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert _sha256(out.encode()) == self.STDOUT[flags, mode]
+        if mode == "aggregate":
+            csv_bytes = (tmp_path / "flows.csv").read_bytes()
+            assert _sha256(csv_bytes) == self.AGGREGATE_CSV[flags]
+
+    def test_engine_flow_stats_shards(self, flows_pcap):
+        import json
+
+        from repro.core.evaluation.experiment import ExperimentGrid
+        from repro.engine.planner import GridPlanner
+        from repro.engine.worker import ShardContext, execute_shard
+        from repro.trace.pcap import read_pcap
+
+        trace = read_pcap(flows_pcap)
+        grid = ExperimentGrid(
+            granularities=(4, 32, 256),
+            replications=1,
+            intervals_us=(None, 60_000_000),
+            seed=11,
+            flow_stats=True,
+        )
+        context = ShardContext(trace, grid)
+        summaries = [
+            execute_shard(context, shard)[2]
+            for shard in GridPlanner(grid).shards()
+        ]
+        assert len(summaries) == 30
+        assert summaries[0] == {
+            "parent_flows": 7819.0,
+            "sampled_flows": 5745.0,
+            "detected_fraction": 0.928765,
+            "parent_mean_packets": 17.199514,
+            "sampled_mean_packets": 5.852219,
+        }
+        assert (
+            _sha256(json.dumps(summaries, sort_keys=True).encode())
+            == "911b440aa99829df99127982ca66b326b102207f2f5177782cbfd6de2a299675"
+        )
